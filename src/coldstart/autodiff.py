@@ -54,14 +54,12 @@ class Tape:
         self.nodes.append((op, inputs, out, vjp))
         return out
 
-    def __len__(self):
-        return len(self.nodes)
-
 
 def _out(tape, op, inputs, data, vjp):
-    if not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite result from op {op}")
-    out = Tensor(data)
+    try:
+        out = Tensor(data)
+    except FloatingPointError:
+        raise FloatingPointError(f"non-finite result from op {op}") from None
     if tape is not None:
         tape.record(op, inputs, out, vjp)
     return out
@@ -356,10 +354,6 @@ def layer_norm(tape, x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) 
 
 # ---------------------------------------------------------------------------
 # composites (recorded as chains of the primitives above)
-
-
-def dot(tape, u: Tensor, v: Tensor) -> Tensor:
-    return matmul(tape, u, v)
 
 
 def cosine_sim(tape, u: Tensor, v: Tensor) -> Tensor:

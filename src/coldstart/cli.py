@@ -20,13 +20,12 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, build_config, parse_config_file
-from .data import (ITEM, USER, build_graph, extrinsic_split, intrinsic_split,
-                   load_interactions, meta_split, remove_test_edges)
+from .data import (ITEM, USER, ExtrinsicSplit, IntrinsicSplit, build_graph, extrinsic_split,
+                   intrinsic_split, load_interactions, meta_split, remove_test_edges)
 from .evaluate import eval_extrinsic, eval_intrinsic_side, sampling_benchmark
-from .finetune import FinetunedModel, InferenceConfig, build_plan, finetune, load_store
-from .pretraining import (GroundTruth, PretrainConfig, ground_truth_pairs,
-                          masked_test_neighborhoods, pretrain_all,
-                          pretrain_targets, train_ground_truth)
+from .finetune import FinetunedModel, build_plans, finetune, load_store
+from .pretraining import (GroundTruth, ground_truth_pairs, masked_test_neighborhoods,
+                          pretrain_all, pretrain_targets, train_ground_truth)
 from .rng import rng_for
 
 log = logging.getLogger("coldstart")
@@ -89,27 +88,17 @@ def _load_canonical(out: Path):
     return build_graph(interactions)
 
 
-def _load_partitions(out: Path, side: str):
+def _load_partitions(out: Path, side: str) -> IntrinsicSplit:
     path = out / "split" / f"{side}_partition.tsv"
-    train, test, cold = [], [], []
+    parts = {"train_t": [], "test_t": [], "cold": []}
     for line in path.read_text().splitlines():
         sid, part = line.split("\t")
-        {"train_t": train, "test_t": test, "cold": cold}[part].append(int(sid))
-
-    class _Split:
-        pass
-
-    s = _Split()
-    s.side = side
-    s.train = np.array(sorted(train), dtype=np.int64)
-    s.test = np.array(sorted(test), dtype=np.int64)
-    s.cold = np.array(sorted(cold), dtype=np.int64)
-    return s
+        parts[part].append(int(sid))
+    return IntrinsicSplit(side, np.array(sorted(parts["train_t"]), dtype=np.int64),
+                          np.array(sorted(parts["test_t"]), dtype=np.int64))
 
 
 def _load_extrinsic(out: Path):
-    from .data import ExtrinsicSplit
-
     ext = ExtrinsicSplit()
     for name, book in (("extrinsic_train.tsv", ext.train), ("extrinsic_test.tsv", ext.test)):
         for line in (out / "split" / name).read_text().splitlines():
@@ -126,23 +115,6 @@ def _load_ground_truth(out: Path, cfg: ExperimentConfig) -> GroundTruth:
         raise SystemExit("ground-truth checkpoint fingerprint mismatch; re-run `coldstart groundtruth`")
     a = ckpt.arrays
     return GroundTruth((a["gtu/user"], a["gtu/item"]), (a["gti/user"], a["gti/item"]))
-
-
-def _pretrain_cfg(cfg: ExperimentConfig) -> PretrainConfig:
-    return PretrainConfig(
-        d=cfg.d, layers=cfg.layers, path_len=cfg.path_len, k=cfg.k_intrinsic,
-        tau=cfg.tau, delete_ratio=cfg.delete_ratio, subst_ratio=cfg.subst_ratio,
-        aug=cfg.aug, lr=cfg.lr, epochs=cfg.pretrain_epochs,
-        recon_batch=cfg.recon_batch, contrast_batch=cfg.contrast_batch,
-        blocks=cfg.blocks, heads=cfg.heads, sampler=cfg.sampler)
-
-
-def _inference_cfg(cfg: ExperimentConfig) -> InferenceConfig:
-    return InferenceConfig(
-        d=cfg.d, layers=cfg.layers, path_len=cfg.path_len, k=cfg.k_extrinsic,
-        sampler=cfg.sampler, blocks=cfg.blocks, heads=cfg.heads,
-        lr=cfg.lr, epochs=cfg.finetune_epochs, batch=cfg.finetune_batch,
-        replan=cfg.replan_each_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +197,7 @@ def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> int:
     user_split = _load_partitions(out, USER)
     item_split = _load_partitions(out, ITEM)
     targets = pretrain_targets(user_split, item_split)
-    result = pretrain_all(graph, targets, gt, _pretrain_cfg(cfg), cfg.seed,
+    result = pretrain_all(graph, targets, gt, cfg, cfg.seed,
                           cfg.fingerprint(), tasks=cfg.task_list())
     stage = _stage_dir(out, "pretrain")
     atomic_save_checkpoint(stage / "checkpoint.ckpt", result.checkpoint)
@@ -253,8 +225,7 @@ def cmd_finetune(cfg: ExperimentConfig, out: Path) -> None:
     graph = _load_canonical(out)
     ext = _load_extrinsic(out)
     graph_ft = remove_test_edges(graph, ext)
-    model = finetune(graph_ft, ext, ckpt, _inference_cfg(cfg), cfg.seed,
-                     freeze_encoders=cfg.freeze_encoders)
+    model = finetune(graph_ft, ext, ckpt, cfg, cfg.seed)
     stage = _stage_dir(out, "finetune")
     atomic_save_checkpoint(stage / "model.ckpt",
                            Checkpoint(cfg.fingerprint(), model.store.state_arrays()))
@@ -277,18 +248,11 @@ def _rebuild_finetuned(cfg: ExperimentConfig, out: Path) -> FinetunedModel:
     graph = _load_canonical(out)
     ext = _load_extrinsic(out)
     graph_ft = remove_test_edges(graph, ext)
-    icfg = _inference_cfg(cfg)
     pre_store, enabled = load_store(pre)
     fin_store, _ = load_store(fin)
     plan_store = fin_store if cfg.replan_each_epoch else pre_store
-    plans = {}
-    users = sorted(int(u) for u in ext.train)
-    candidates = [i for i in range(graph_ft.n_items) if graph_ft.degree(ITEM, i) > 0]
-    for u in users:
-        plans[(USER, u)] = build_plan(graph_ft, (USER, u), plan_store, enabled, icfg, cfg.seed)
-    for i in candidates:
-        plans[(ITEM, i)] = build_plan(graph_ft, (ITEM, i), plan_store, enabled, icfg, cfg.seed)
-    return FinetunedModel(fin_store, enabled, icfg, graph_ft.n_users, graph_ft.n_items, plans)
+    plans = build_plans(graph_ft, sorted(ext.train), plan_store, enabled, cfg, cfg.seed)
+    return FinetunedModel(fin_store, enabled, cfg, graph_ft.n_users, graph_ft.n_items, plans)
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:
@@ -298,14 +262,12 @@ def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:
     ext = _load_extrinsic(out)
     pre = load_checkpoint(out / "pretrain" / "checkpoint.ckpt")
     pre_store, enabled = load_store(pre)
-    icfg = _inference_cfg(cfg)
 
     metrics: dict[str, float] = {}
     for side in (USER, ITEM):
         split = _load_partitions(out, side)
         masked = masked_test_neighborhoods(graph, split, cfg.k_intrinsic, cfg.layers, cfg.seed)
-        rep = eval_intrinsic_side(graph, split, masked, pre_store, enabled, gt,
-                                  icfg, cfg.k_intrinsic, cfg.seed)
+        rep = eval_intrinsic_side(graph, split, masked, pre_store, enabled, gt, cfg, cfg.seed)
         metrics[f"intrinsic_cosine_{side}"] = rep.fused
         for code, val in rep.per_task.items():
             metrics[f"intrinsic_cosine_{side}_{code}"] = val
@@ -336,8 +298,7 @@ def cmd_bench(cfg: ExperimentConfig, out: Path, epochs: int = 10) -> None:
     user_split = _load_partitions(out, USER)
     item_split = _load_partitions(out, ITEM)
     targets = pretrain_targets(user_split, item_split)
-    rows, summaries = sampling_benchmark(graph, targets, gt, _pretrain_cfg(cfg),
-                                         cfg.seed, epochs=epochs)
+    rows, summaries = sampling_benchmark(graph, targets, gt, cfg, cfg.seed, epochs=epochs)
     stage = _stage_dir(out, "bench")
     atomic_write_text(stage / "timings.tsv", "strategy\tepoch\tsample_s\ttrain_s\n" + "".join(
         f"{r.strategy}\t{r.epoch}\t{r.sample_s:.6f}\t{r.train_s:.6f}\n" for r in rows))

@@ -65,6 +65,9 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
+_BOOLS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
+
+
 def build_config(file_values: dict[str, str] | None = None,
                  overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Typed config from defaults, then file values, then CLI overrides.
@@ -77,7 +80,10 @@ def build_config(file_values: dict[str, str] | None = None,
                 raise KeyError(f"unknown config key: {key!r}")
             current = getattr(cfg, key)
             if isinstance(current, bool):
-                setattr(cfg, key, val in ("1", "true", "True"))
+                if val not in _BOOLS:
+                    raise ValueError(f"config key {key!r}: expected one of "
+                                     f"{', '.join(_BOOLS)}, got {val!r}")
+                setattr(cfg, key, _BOOLS[val])
             elif isinstance(current, int):
                 setattr(cfg, key, int(val))
             elif isinstance(current, float):

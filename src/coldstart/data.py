@@ -174,44 +174,6 @@ class TreeNode(NamedTuple):
 
 
 @dataclass
-class MaskedNeighborhood:
-    """Per-target neighbor tree kept under the cold-start masking budget.
-
-    layers[0] is the target itself; layer l keeps at most k children per kept
-    layer-(l-1) node, so |layers[l]| <= k**l.
-    """
-
-    target: tuple[str, int]
-    k: int
-    layers: list[list[TreeNode]]
-
-
-def mask_neighborhood(graph: BipartiteGraph, target: tuple[str, int],
-                      k: int, l_max: int, seed: int) -> MaskedNeighborhood:
-    """Simulate a cold-start target: keep at most k uniformly chosen neighbors
-    per kept node, layer by layer, out to depth l_max."""
-    side, node = target
-    if k < 1:
-        raise ValueError(f"mask_neighborhood: k must be >= 1, got {k}")
-    if graph.degree(side, node) == 0:
-        raise ValueError(f"mask_neighborhood: target {side} {node} has no neighbors")
-    rng = rng_for(seed, "mask", side, node)
-    layers: list[list[TreeNode]] = [[TreeNode(side, node, -1)]]
-    for _ in range(l_max):
-        prev = layers[-1]
-        child_side = flip(prev[0].side)
-        nxt: list[TreeNode] = []
-        for pi, tn in enumerate(prev):
-            nbrs = graph.neighbors(tn.side, tn.node)
-            m = min(k, len(nbrs))
-            chosen = rng.choice(len(nbrs), size=m, replace=False) if len(nbrs) else []
-            for c in sorted(nbrs[j] for j in chosen):
-                nxt.append(TreeNode(child_side, int(c), pi))
-        layers.append(nxt)
-    return MaskedNeighborhood((side, node), k, layers)
-
-
-@dataclass
 class ExtrinsicSplit:
     """Chronological per-user cut of cold users' interactions."""
 

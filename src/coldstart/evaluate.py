@@ -3,17 +3,19 @@ users, and the sampling-strategy benchmark."""
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import ExperimentConfig
 from .data import ITEM, USER, BipartiteGraph
-from .finetune import FinetunedModel, InferenceConfig, NodePlan, encode_node
+from .finetune import FinetunedModel, NodePlan, encode_node, fusion_init
 from .paths import generate_positioned_paths
-from .pretraining import (GNN_TASKS, GroundTruth, PretrainConfig,
-                          sample_recon_trees, train_on_recon_trees)
+from .pretraining import (GNN_TASKS, GroundTruth, init_task, sample_recon_trees,
+                          train_on_recon_trees)
 from .rng import rng_for
+from .sampling import mask_neighborhood
 
 
 def recall_at_k(ranked_items, relevant, k: int) -> float:
@@ -96,7 +98,7 @@ def eval_extrinsic(model: FinetunedModel, ext_split, k: int) -> ExtrinsicReport:
 # intrinsic evaluation
 
 
-def _task_inference(store, enabled, tree, node, cfg: InferenceConfig,
+def _task_inference(store, enabled, tree, node, cfg: ExperimentConfig,
                     n_users, n_items, seed) -> dict[str, np.ndarray]:
     """Per-task embeddings of a target from its fixed masked tree (paths are
     walked inside the tree)."""
@@ -116,8 +118,6 @@ def train_intrinsic_fusion(train_preds: list[np.ndarray], train_gts: list[np.nda
                            lr: float = 0.01, epochs: int = 100) -> np.ndarray:
     """Fit the fusion matrix on the training targets by maximizing cosine to
     the ground truth (the pretext encoders stay fixed)."""
-    from .finetune import fusion_init
-
     store = ad.ParamStore()
     store.register("w", fusion_init(d, n_tasks))
     x = np.stack(train_preds)
@@ -144,16 +144,14 @@ class IntrinsicReport:
 
 
 def eval_intrinsic_side(graph: BipartiteGraph, split, masked_test: dict,
-                        store, enabled, gt: GroundTruth, cfg: InferenceConfig,
-                        k_mask: int, seed: int) -> IntrinsicReport:
+                        store, enabled, gt: GroundTruth, cfg: ExperimentConfig,
+                        seed: int) -> IntrinsicReport:
     """Cold-start-simulated embedding quality on one side's held-out targets.
 
     Test targets are encoded from their fixed masked trees; the fusion matrix
     is trained on the training targets (same masking protocol) and applied to
     the test targets. Reports mean cosine per task and fused.
     """
-    from .data import mask_neighborhood
-
     nu, ni = graph.n_users, graph.n_items
     side = split.side
 
@@ -171,7 +169,7 @@ def eval_intrinsic_side(graph: BipartiteGraph, split, masked_test: dict,
     test_targets = sorted(int(t) for t in masked_test)
     per_task_test, gts_test = preds_for(test_targets, masked_test)
 
-    train_trees = {int(t): mask_neighborhood(graph, (side, int(t)), k_mask, cfg.layers,
+    train_trees = {int(t): mask_neighborhood(graph, (side, int(t)), cfg.k_intrinsic, cfg.layers,
                                              int(rng_for(seed, "intr-fuse", side).integers(2 ** 31)))
                    for t in split.train}
     per_task_train, gts_train = preds_for(sorted(train_trees), train_trees)
@@ -212,22 +210,21 @@ class BenchSummary:
 
 
 def sampling_benchmark(graph: BipartiteGraph, targets, gt: GroundTruth,
-                       cfg: PretrainConfig, seed: int, epochs: int = 10,
+                       cfg: ExperimentConfig, seed: int, epochs: int = 10,
                        strategies=("random", "importance", "dynamic")):
     """Wall-clock per-epoch sampling and training time for each strategy on
     the reconstruction task. Returns (rows, summaries)."""
-    from .pretraining import init_task
-
     rows: list[BenchRow] = []
     summaries: list[BenchSummary] = []
     for strat in strategies:
-        state = init_task("Rg", graph, cfg, seed)
+        scfg = replace(cfg, sampler=strat)
+        state = init_task("Rg", graph, scfg, seed)
         sample_times, train_times = [], []
         for epoch in range(epochs):
             t0 = time.perf_counter()
-            trees = sample_recon_trees(state, graph, targets, cfg, seed, epoch, sampler=strat)
+            trees = sample_recon_trees(state, graph, targets, scfg, seed, epoch)
             t1 = time.perf_counter()
-            train_on_recon_trees(state, trees, targets, gt, cfg, seed, epoch)
+            train_on_recon_trees(state, trees, targets, gt, scfg, seed, epoch)
             t2 = time.perf_counter()
             rows.append(BenchRow(strat, epoch, t1 - t0, t2 - t1))
             sample_times.append(t1 - t0)

@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders as enc
 from .checkpoint import Checkpoint
+from .config import ExperimentConfig
 from .data import ITEM, USER, BipartiteGraph
 from .paths import generate_positioned_paths
 from .pretraining import GNN_TASKS, TASK_CODES, bpr_loss
@@ -24,21 +25,6 @@ from .rng import rng_for
 from .sampling import sample_dynamic, sample_random
 
 Node = tuple[str, int]
-
-
-@dataclass
-class InferenceConfig:
-    d: int = 32
-    layers: int = 4
-    path_len: int = 6
-    k: int = 8
-    sampler: str = "dynamic"
-    blocks: int = 2
-    heads: int = 2
-    lr: float = 0.003
-    epochs: int = 10
-    batch: int = 64
-    replan: bool = False  # re-sample inference plans at each epoch start
 
 
 def load_store(ckpt: Checkpoint) -> tuple[ad.ParamStore, list[str]]:
@@ -66,7 +52,7 @@ class NodePlan:
 
 
 def build_plan(graph: BipartiteGraph, node: Node, store: ad.ParamStore, enabled,
-               cfg: InferenceConfig, seed: int) -> NodePlan:
+               cfg: ExperimentConfig, seed: int) -> NodePlan:
     """Frozen per-node inference inputs: one tree per GNN task (the
     reconstruction task uses the configured sampler), one tree plus positioned
     walks per path task."""
@@ -74,10 +60,10 @@ def build_plan(graph: BipartiteGraph, node: Node, store: ad.ParamStore, enabled,
     for code in enabled:
         tree_seed = int(rng_for(seed, "plan", code, node[0], node[1]).integers(2 ** 31))
         if code == "Rg" and cfg.sampler == "dynamic":
-            tree = sample_dynamic(graph, node, cfg.k, cfg.layers,
+            tree = sample_dynamic(graph, node, cfg.k_extrinsic, cfg.layers,
                                   store["Rg/meta_table"].data, store["Rg/embed"].data)
         else:
-            tree = sample_random(graph, node, cfg.k, cfg.layers, tree_seed)
+            tree = sample_random(graph, node, cfg.k_extrinsic, cfg.layers, tree_seed)
         if code in GNN_TASKS:
             plan.trees[code] = tree
         else:
@@ -86,8 +72,17 @@ def build_plan(graph: BipartiteGraph, node: Node, store: ad.ParamStore, enabled,
     return plan
 
 
+def build_plans(graph: BipartiteGraph, users, store: ad.ParamStore, enabled,
+                cfg: ExperimentConfig, seed: int) -> dict[Node, NodePlan]:
+    """Plans for the given users plus every candidate item, in that order.
+    Items with no neighbors in graph cannot be encoded and are not candidates."""
+    candidates = [i for i in range(graph.n_items) if graph.degree(ITEM, i) > 0]
+    nodes = [(USER, int(u)) for u in users] + [(ITEM, i) for i in candidates]
+    return {node: build_plan(graph, node, store, enabled, cfg, seed) for node in nodes}
+
+
 def encode_node(tape, store: ad.ParamStore, plan: NodePlan, enabled,
-                cfg: InferenceConfig, n_users: int, n_items: int) -> list[ad.Tensor]:
+                cfg: ExperimentConfig, n_users: int, n_items: int) -> list[ad.Tensor]:
     """Per-task embeddings for one node from its frozen plan, in task order."""
     out = []
     for code in enabled:
@@ -118,7 +113,7 @@ def relevance(tape, h_user: ad.Tensor, h_item: ad.Tensor) -> ad.Tensor:
 class FinetunedModel:
     store: ad.ParamStore
     enabled: list[str]
-    cfg: InferenceConfig
+    cfg: ExperimentConfig
     n_users: int
     n_items: int
     plans: dict[Node, NodePlan]
@@ -131,50 +126,48 @@ class FinetunedModel:
 
 
 def finetune(graph_ft: BipartiteGraph, ext_split, ckpt: Checkpoint,
-             cfg: InferenceConfig, seed: int, freeze_encoders: bool = False) -> FinetunedModel:
+             cfg: ExperimentConfig, seed: int) -> FinetunedModel:
     """Pairwise-ranking fine-tuning of the fused model on cold users' training
     interactions. graph_ft must not contain the held-out test interactions.
 
     One uniform negative per positive, resampled each epoch, drawn from the
-    items outside the user's training set. Items that end up with no neighbors
-    in graph_ft cannot be encoded and are left out of the candidate set.
+    items outside the user's training set; a user whose training items cover
+    every candidate has no negative and is an error. Items that end up with no
+    neighbors in graph_ft cannot be encoded and are left out of the candidate
+    set.
 
     Neighborhood plans are sampled once up front and held fixed; with
-    cfg.replan they are rebuilt at the start of every later epoch, so dynamic
-    trees follow the moving embedding tables.
+    cfg.replan_each_epoch they are rebuilt at the start of every later epoch,
+    so dynamic trees follow the moving embedding tables.
     """
     store, enabled = load_store(ckpt)
     n_users, n_items = graph_ft.n_users, graph_ft.n_items
     store.register("fuse/w", fusion_init(cfg.d, len(enabled)))
-    if freeze_encoders:
+    if cfg.freeze_encoders:
         store.frozen.update(n for n in store.params if not n.startswith("fuse/"))
 
     users = sorted(int(u) for u in ext_split.train)
-    candidates = [i for i in range(n_items) if graph_ft.degree(ITEM, i) > 0]
-    plans: dict[Node, NodePlan] = {}
-    for u in users:
-        plans[(USER, u)] = build_plan(graph_ft, (USER, u), store, enabled, cfg, seed)
-    for i in candidates:
-        plans[(ITEM, i)] = build_plan(graph_ft, (ITEM, i), store, enabled, cfg, seed)
-
+    plans = build_plans(graph_ft, users, store, enabled, cfg, seed)
+    candidates = [i for side, i in plans if side == ITEM]
     cand_set = set(candidates)
+    train_items = {u: {int(i) for i, _ in ext_split.train[u]} for u in users}
+    for u in users:
+        if cand_set <= train_items[u]:
+            raise ValueError(f"finetune: user {u} has trained on every candidate item, "
+                             "so no negative can be drawn")
     positives = [(u, int(i)) for u in users for i, _ in ext_split.train[u]
                  if int(i) in cand_set]
-    train_items = {u: {int(i) for i, _ in ext_split.train[u]} for u in users}
 
     model = FinetunedModel(store, enabled, cfg, n_users, n_items, plans)
-    for epoch in range(cfg.epochs):
-        if cfg.replan and epoch > 0:
+    for epoch in range(cfg.finetune_epochs):
+        if cfg.replan_each_epoch and epoch > 0:
             pseed = int(rng_for(seed, "replan", epoch).integers(2 ** 31))
-            for u in users:
-                plans[(USER, u)] = build_plan(graph_ft, (USER, u), store, enabled, cfg, pseed)
-            for i in candidates:
-                plans[(ITEM, i)] = build_plan(graph_ft, (ITEM, i), store, enabled, cfg, pseed)
+            plans.update(build_plans(graph_ft, users, store, enabled, cfg, pseed))
         rng = rng_for(seed, "ft", epoch)
         order = rng.permutation(len(positives))
         total = 0.0
-        for start in range(0, len(order), cfg.batch):
-            batch = [positives[int(j)] for j in order[start:start + cfg.batch]]
+        for start in range(0, len(order), cfg.finetune_batch):
+            batch = [positives[int(j)] for j in order[start:start + cfg.finetune_batch]]
             triples = []
             for u, i in batch:
                 j = int(candidates[int(rng.integers(len(candidates)))])

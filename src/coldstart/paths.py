@@ -2,18 +2,17 @@
 delete/substitute augmentations used by the contrastive objectives and the
 masking used by the reconstruction path objective.
 
-Pre-training walks stay inside the per-target masked/sampled tree to honor the
-cold-start masking protocol; walking the full graph is supported for baseline
-checks via the structure argument.
+Pre-training walks stay inside the per-target tree (a SampledSubgraph, masked
+or sampled) to honor the cold-start masking protocol; walking the full graph
+is supported for baseline checks via the structure argument.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .data import BipartiteGraph, MaskedNeighborhood, TreeNode, flip
+from .data import BipartiteGraph, TreeNode, flip
 from .rng import rng_for
+from .sampling import _tree_sample, uniform_pick
 
 Node = tuple[str, int]
 
@@ -185,27 +184,6 @@ def _to_layers(root: _Slot, depth: int):
     return layers
 
 
-def _grow_random(graph, slot: _Slot, k: int, depth_left: int, rng):
-    if depth_left <= 0:
-        return
-    nbrs = graph.neighbors(slot.side, slot.node)
-    m = min(k, len(nbrs))
-    if m == 0:
-        return
-    chosen = nbrs[rng.choice(len(nbrs), size=m, replace=False)]
-    cside = flip(slot.side)
-    for c in sorted(int(x) for x in chosen):
-        child = _Slot(cside, c)
-        slot.children.append(child)
-        _grow_random(graph, child, k, depth_left - 1, rng)
-
-
-def _rebuild(sub, layers):
-    if isinstance(sub, MaskedNeighborhood):
-        return MaskedNeighborhood(sub.target, sub.k, layers)
-    return type(sub)(target=sub.target, k=sub.k, kind=sub.kind, layers=layers, scores=None)
-
-
 def augment_subgraph(sub, graph: BipartiteGraph, op: str, ratio: float, seed: int):
     """Return an augmented copy of a sampled tree.
 
@@ -245,10 +223,12 @@ def augment_subgraph(sub, graph: BipartiteGraph, op: str, ratio: float, seed: in
             else:
                 pool = graph.neighbors(parent.side, parent.node)
                 victim.node = int(pool[rng.integers(len(pool))])
-                victim.children = []
-                _grow_random(graph, victim, sub.k, depth - l, rng)
+                regrown = _tree_sample(graph, (victim.side, victim.node), sub.k, depth - l,
+                                       uniform_pick(rng))
+                regrown_slots, _ = _to_forest(regrown)
+                victim.children = regrown_slots[0][0].children
 
-    return _rebuild(sub, _to_layers(root, depth))
+    return replace(sub, layers=_to_layers(root, depth), scores=None)
 
 
 def augment_path(path: list[Node], op: str, ratio: float, seed: int,
@@ -296,10 +276,3 @@ def augment_path(path: list[Node], op: str, ratio: float, seed: int,
             continue
         nodes[p] = (flip(parent[0]), int(pool[rng.integers(len(pool))]))
     return AugmentedPath(nodes, list(range(n)))
-
-
-def dump_paths(paths, fh) -> None:
-    """Debug dump: one walk per line, side:id space-separated."""
-    for p in paths:
-        nodes = p.nodes if hasattr(p, "nodes") else p
-        fh.write(" ".join(f"{s}:{i}" for s, i in nodes) + "\n")

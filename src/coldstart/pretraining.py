@@ -22,10 +22,12 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders as enc
 from .checkpoint import Checkpoint
-from .data import ITEM, USER, BipartiteGraph, MaskedNeighborhood, mask_neighborhood
+from .config import ExperimentConfig
+from .data import ITEM, USER, BipartiteGraph
 from .paths import augment_path, augment_subgraph, generate_paths, generate_positioned_paths
 from .rng import rng_for
-from .sampling import sample_dynamic, sample_importance, sample_random
+from .sampling import (SampledSubgraph, mask_neighborhood, sample_dynamic,
+                       sample_importance, sample_random)
 
 TASK_CODES = ("Rg", "Cg", "Rp", "Cp")
 GNN_TASKS = ("Rg", "Cg")
@@ -51,17 +53,22 @@ def train_ground_truth(n_users: int, n_items: int, pairs, d: int, lr: float,
     """Pairwise-ranking matrix factorization over implicit (user, item) pairs.
 
     One uniform negative per positive, resampled each epoch. Returns the user
-    and item tables plus the per-epoch mean loss trace.
+    and item tables plus the per-epoch mean loss trace. A user who has
+    interacted with every item has no negative to draw and is an error.
     """
-    rng = rng_for(seed, "gt")
-    P = rng.uniform(-0.01, 0.01, size=(n_users, d))
-    Q = rng.uniform(-0.01, 0.01, size=(n_items, d))
     pairs = np.asarray(sorted(pairs), dtype=np.int64)
     if len(pairs) == 0:
         raise ValueError("train_ground_truth: no training pairs")
     pos_items = {}
     for u, i in pairs:
         pos_items.setdefault(int(u), set()).add(int(i))
+    for u, items in pos_items.items():
+        if len(items) >= n_items:
+            raise ValueError(f"train_ground_truth: user {u} has interacted with every item, "
+                             "so no negative can be drawn")
+    rng = rng_for(seed, "gt")
+    P = rng.uniform(-0.01, 0.01, size=(n_users, d))
+    Q = rng.uniform(-0.01, 0.01, size=(n_items, d))
     losses = []
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
@@ -170,25 +177,6 @@ def bpr_loss(tape, pos_scores: ad.Tensor, neg_scores: ad.Tensor) -> ad.Tensor:
 
 
 @dataclass
-class PretrainConfig:
-    d: int = 32
-    layers: int = 4
-    path_len: int = 6
-    k: int = 3
-    tau: float = 0.2
-    delete_ratio: float = 0.2
-    subst_ratio: float = 0.2
-    aug: str = "delete"
-    lr: float = 0.003
-    epochs: int = 10
-    recon_batch: int = 128
-    contrast_batch: int = 64
-    blocks: int = 2
-    heads: int = 2
-    sampler: str = "dynamic"
-
-
-@dataclass
 class TaskState:
     code: str
     store: ad.ParamStore
@@ -196,7 +184,7 @@ class TaskState:
     n_items: int
 
 
-def init_task(code: str, graph: BipartiteGraph, cfg: PretrainConfig, seed: int) -> TaskState:
+def init_task(code: str, graph: BipartiteGraph, cfg: ExperimentConfig, seed: int) -> TaskState:
     """Independent parameter set for one pretext task, including the frozen
     meta-embedding table for the GNN tasks."""
     store = ad.ParamStore()
@@ -209,7 +197,7 @@ def init_task(code: str, graph: BipartiteGraph, cfg: PretrainConfig, seed: int) 
         meta = enc.compute_meta_table(
             graph, store[f"{code}/embed"].data,
             store[f"{code}/meta/wq"].data, store[f"{code}/meta/wk"].data,
-            store[f"{code}/meta/wv"].data, cfg.k, seed)
+            store[f"{code}/meta/wv"].data, cfg.k_intrinsic, seed)
         store.register(f"{code}/meta_table", meta, frozen=True)
     else:
         enc.init_transformer_params(store, code, cfg.d, cfg.path_len, cfg.blocks, cfg.heads, seed)
@@ -247,16 +235,15 @@ class EpochLog:
     skipped: int = 0
 
 
-def sample_recon_trees(state, graph, targets, cfg, seed, epoch, sampler=None):
+def sample_recon_trees(state, graph, targets, cfg, seed, epoch):
     """Per-epoch trees for the reconstruction task (dynamic trees use the
     embedding table as of the end of the previous epoch)."""
     store = state.store
     meta = store[f"{state.code}/meta_table"].data if f"{state.code}/meta_table" in store else None
     cur = store[f"{state.code}/embed"].data
-    kind = sampler if sampler is not None else cfg.sampler
     trees = {}
     for t in targets:
-        trees[t] = _sample_tree(kind, graph, t, cfg.k, cfg.layers,
+        trees[t] = _sample_tree(cfg.sampler, graph, t, cfg.k_intrinsic, cfg.layers,
                                 int(rng_for(seed, state.code, "tree", epoch, t[0], t[1]).integers(2 ** 31)),
                                 meta=meta, cur=cur)
     return trees
@@ -299,7 +286,7 @@ def _gnn_contrast_epoch(state, graph, targets, gt, cfg, seed, epoch):
         views = []
         for t in batch:
             base_seed = int(rng_for(seed, state.code, "tree", epoch, t[0], t[1]).integers(2 ** 31))
-            tree = sample_random(graph, t, cfg.k, cfg.layers, base_seed)
+            tree = sample_random(graph, t, cfg.k_intrinsic, cfg.layers, base_seed)
             pair = []
             for v in (0, 1):
                 ratio = cfg.delete_ratio if cfg.aug != "substitute" else cfg.subst_ratio
@@ -337,7 +324,7 @@ def _path_recon_epoch(state, graph, targets, gt, cfg, seed, epoch):
         tape = ad.Tape()
         preds, gts = [], []
         for t in batch:
-            tree = sample_random(graph, t, cfg.k, cfg.layers,
+            tree = sample_random(graph, t, cfg.k_intrinsic, cfg.layers,
                                  int(rng_for(seed, state.code, "tree", epoch, t[0], t[1]).integers(2 ** 31)))
             paths = generate_positioned_paths(
                 tree, t, cfg.path_len,
@@ -373,7 +360,7 @@ def _path_contrast_epoch(state, graph, targets, gt, cfg, seed, epoch):
         tape = ad.Tape()
         views = []
         for t in batch:
-            tree = sample_random(graph, t, cfg.k, cfg.layers,
+            tree = sample_random(graph, t, cfg.k_intrinsic, cfg.layers,
                                  int(rng_for(seed, state.code, "tree", epoch, t[0], t[1]).integers(2 ** 31)))
             walk = generate_paths(tree, t, cfg.path_len, 1,
                                   int(rng_for(seed, state.code, "walk", epoch, t[0], t[1]).integers(2 ** 31)))[0]
@@ -413,12 +400,12 @@ _EPOCH_FNS = {
 
 
 def train_task(code: str, graph: BipartiteGraph, targets, gt: GroundTruth,
-               cfg: PretrainConfig, seed: int):
+               cfg: ExperimentConfig, seed: int):
     """Train one pretext task to completion; returns (state, epoch logs)."""
     state = init_task(code, graph, cfg, seed)
     logs = []
     fn = _EPOCH_FNS[code]
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.pretrain_epochs):
         t0 = time.perf_counter()
         try:
             loss, skipped = fn(state, graph, targets, gt, cfg, seed, epoch)
@@ -437,7 +424,7 @@ class PretrainResult:
     failed: list[str] = field(default_factory=list)
 
 
-def pretrain_all(graph: BipartiteGraph, targets, gt: GroundTruth, cfg: PretrainConfig,
+def pretrain_all(graph: BipartiteGraph, targets, gt: GroundTruth, cfg: ExperimentConfig,
                  seed: int, fingerprint: str, tasks=TASK_CODES, order=None) -> PretrainResult:
     """Train the enabled pretext tasks and assemble one checkpoint.
 
@@ -471,7 +458,7 @@ def pretrain_targets(user_split, item_split) -> list[tuple[str, int]]:
             + [(ITEM, int(i)) for i in item_split.train])
 
 
-def masked_test_neighborhoods(graph, split, k, l_max, seed) -> dict[int, MaskedNeighborhood]:
+def masked_test_neighborhoods(graph, split, k, l_max, seed) -> dict[int, SampledSubgraph]:
     """The fixed cold-start-simulated trees for a side's test targets."""
     return {int(t): mask_neighborhood(graph, (split.side, int(t)), k, l_max, seed)
             for t in split.test}

@@ -3,7 +3,8 @@
 Three strategies over the same tree shape: uniform random (budget k children
 per kept parent), importance (degree-proportional, same budget), and dynamic
 (deterministic top-K^l by embedding affinity, recomputed every epoch from the
-current embedding table).
+current embedding table). The cold-start masking of a target's neighborhood
+is the uniform random tree under its own RNG key.
 
 Trees may revisit node ids, including the target, because every kept node's
 neighbor list contains its own parent; this mirrors standard sampled-subgraph
@@ -25,6 +26,13 @@ class SampledSubgraph:
     kind: str
     layers: list[list[TreeNode]]
     scores: list[np.ndarray] | None = None  # dynamic only, aligned with layers
+
+
+def uniform_pick(rng):
+    """pick() for _tree_sample: m uniformly chosen neighbors, no replacement."""
+    def pick(nbrs, m, _tn):
+        return nbrs[rng.choice(len(nbrs), size=m, replace=False)]
+    return pick
 
 
 def _check_target(graph, target, k):
@@ -58,13 +66,17 @@ def sample_random(graph: BipartiteGraph, target: tuple[str, int],
                   k: int, l_max: int, seed: int) -> SampledSubgraph:
     """Uniform without replacement, at most k children per kept parent."""
     _check_target(graph, target, k)
-    rng = rng_for(seed, "srand", target[0], target[1])
-
-    def pick(nbrs, m, _tn):
-        idx = rng.choice(len(nbrs), size=m, replace=False)
-        return nbrs[idx]
-
+    pick = uniform_pick(rng_for(seed, "srand", target[0], target[1]))
     return SampledSubgraph(target, k, "random", _tree_sample(graph, target, k, l_max, pick))
+
+
+def mask_neighborhood(graph: BipartiteGraph, target: tuple[str, int],
+                      k: int, l_max: int, seed: int) -> SampledSubgraph:
+    """Simulate a cold-start target: keep at most k uniformly chosen neighbors
+    per kept node, layer by layer, out to depth l_max."""
+    _check_target(graph, target, k)
+    pick = uniform_pick(rng_for(seed, "mask", target[0], target[1]))
+    return SampledSubgraph(target, k, "masked", _tree_sample(graph, target, k, l_max, pick))
 
 
 def sample_importance(graph: BipartiteGraph, target: tuple[str, int],
@@ -138,10 +150,3 @@ def sample_dynamic(graph: BipartiteGraph, target: tuple[str, int], k: int, l_max
         layers.append([TreeNode(child_side, int(cand[j]), parent_of[int(cand[j])]) for j in order])
         scores.append(sc[order])
     return SampledSubgraph(target, k, "dynamic", layers, scores)
-
-
-SAMPLERS = {
-    "random": lambda graph, target, k, l_max, seed, meta, cur: sample_random(graph, target, k, l_max, seed),
-    "importance": lambda graph, target, k, l_max, seed, meta, cur: sample_importance(graph, target, k, l_max, seed),
-    "dynamic": lambda graph, target, k, l_max, seed, meta, cur: sample_dynamic(graph, target, k, l_max, meta, cur),
-}

@@ -26,11 +26,12 @@ import numpy as np
 from coldstart import autodiff as ad
 from coldstart import encoders as enc
 from coldstart.cli import main
+from coldstart.config import ExperimentConfig
 from coldstart.data import ITEM, USER, build_graph, intrinsic_split, load_interactions, meta_split
 from coldstart.evaluate import ndcg_at_k, rank_items, recall_at_k, sampling_benchmark
-from coldstart.finetune import InferenceConfig, build_plan, encode_node, fusion_init, infer_fused, load_store, relevance
+from coldstart.finetune import build_plan, encode_node, fusion_init, infer_fused, load_store, relevance
 from coldstart.paths import MaskedPath, augment_path, augment_subgraph, generate_paths, generate_positioned_paths
-from coldstart.pretraining import (GroundTruth, PretrainConfig, bpr_loss, contrastive_loss,
+from coldstart.pretraining import (GroundTruth, bpr_loss, contrastive_loss,
                                    init_task, pretrain_all, pretrain_targets, reconstruction_loss)
 from coldstart.sampling import sample_dynamic, sample_random
 
@@ -116,8 +117,8 @@ def read_report(out):
 def test_criterion_1():
     g = nine_node_graph()
     d, layers, k, t_len = 4, 2, 2, 3
-    cfg = PretrainConfig(d=d, layers=layers, path_len=t_len, k=k, epochs=0,
-                         recon_batch=8, contrast_batch=8, blocks=1, heads=2, lr=0.02)
+    cfg = ExperimentConfig(d=d, layers=layers, path_len=t_len, k_intrinsic=k, pretrain_epochs=0,
+                           recon_batch=8, contrast_batch=8, blocks=1, heads=2, lr=0.02)
     gt = rng_ground_truth(g, d)
     targets = [(USER, 0), (ITEM, 2)]
     report = []
@@ -205,8 +206,8 @@ def test_criterion_1():
     assert not res.failed
     store, enabled = load_store(res.checkpoint)
     store.register("fuse/w", fusion_init(d, len(enabled)))
-    icfg = InferenceConfig(d=d, layers=layers, path_len=t_len, k=k, sampler="random",
-                           blocks=1, heads=2, lr=0.02, epochs=1, batch=8)
+    icfg = ExperimentConfig(d=d, layers=layers, path_len=t_len, k_extrinsic=k, sampler="random",
+                            blocks=1, heads=2, lr=0.02, finetune_epochs=1, finetune_batch=8)
     plans = {n: build_plan(g, n, store, enabled, icfg, 16)
              for n in [(USER, 0), (ITEM, 1), (ITEM, 4)]}
     assert all(a.data.dtype == np.float64 for a in store.params.values())
@@ -405,8 +406,8 @@ def test_criterion_5():
     assert drift <= 1e-10, drift
 
     # (b) the masked read-out cannot see the held-out identity
-    cfg = PretrainConfig(d=d, layers=2, path_len=3, k=2, epochs=0, recon_batch=8,
-                         contrast_batch=8, blocks=1, heads=2, lr=0.02)
+    cfg = ExperimentConfig(d=d, layers=2, path_len=3, k_intrinsic=2, pretrain_epochs=0,
+                           recon_batch=8, contrast_batch=8, blocks=1, heads=2, lr=0.02)
     st = init_task("Rp", g, cfg, seed=2)
     nodes_a = [(USER, 0), (ITEM, 1), (USER, 2)]
     nodes_b = [(USER, 0), (ITEM, 4), (USER, 2)]  # only the masked slot differs
@@ -484,8 +485,8 @@ def test_criterion_8():
     item_meta = meta_split(g, ITEM, 15)
     targets = pretrain_targets(intrinsic_split(user_meta, 0.7, 9),
                                intrinsic_split(item_meta, 0.7, 9))
-    cfg = PretrainConfig(d=16, layers=2, path_len=4, k=3, epochs=1,
-                         recon_batch=64, contrast_batch=32, blocks=2, heads=2, lr=0.02)
+    cfg = ExperimentConfig(d=16, layers=2, path_len=4, k_intrinsic=3, pretrain_epochs=1,
+                           recon_batch=64, contrast_batch=32, blocks=2, heads=2, lr=0.02)
     gt = rng_ground_truth(g, 16, seed=8)
     _, summaries = sampling_benchmark(g, targets, gt, cfg, seed=9, epochs=10,
                                       strategies=("random", "dynamic"))

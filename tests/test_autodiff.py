@@ -293,6 +293,10 @@ class TestBackwardMechanics:
         with pytest.raises(FloatingPointError):
             ad.Tensor(np.array([np.inf]))
 
+    def test_nonfinite_op_output_names_op(self):
+        with np.errstate(divide="ignore"), pytest.raises(FloatingPointError, match="log"):
+            ad.log(None, ad.Tensor(np.zeros(1)))
+
     def test_gradient_accumulation_is_linear(self):
         # grad of a*L1 + b*L2 equals a*grad(L1) + b*grad(L2)
         rng = np.random.default_rng(43)

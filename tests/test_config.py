@@ -34,6 +34,14 @@ class TestConfigFile:
         assert isinstance(cfg.c_frac, float)
         assert cfg.sampler == "random"
 
+    def test_strict_booleans(self):
+        for val, want in (("1", True), ("true", True), ("True", True),
+                          ("0", False), ("false", False), ("False", False)):
+            assert build_config({}, {"freeze_encoders": val}).freeze_encoders is want
+        for bad in ("yes", "no", "TRUE", ""):
+            with pytest.raises(ValueError, match="freeze_encoders"):
+                build_config({}, {"freeze_encoders": bad})
+
     def test_task_list(self):
         cfg = build_config({}, {"tasks": "Rp,Cg"})
         assert cfg.task_list() == ["Rp", "Cg"]

@@ -9,7 +9,8 @@ import pytest
 
 from coldstart.data import (ITEM, USER, BipartiteGraph, Interaction, build_graph,
                             extrinsic_split, intrinsic_split, load_interactions,
-                            mask_neighborhood, meta_split, remove_test_edges)
+                            meta_split, remove_test_edges)
+from coldstart.sampling import mask_neighborhood
 
 ML1M_PATH = Path(os.environ.get("COLDSTART_ML1M", "data/ml-1m/ratings.dat"))
 

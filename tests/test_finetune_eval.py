@@ -9,15 +9,15 @@ import pytest
 
 import coldstart.autodiff as ad
 from coldstart.checkpoint import Checkpoint
-from coldstart.data import (ITEM, USER, Interaction, build_graph, extrinsic_split,
-                            meta_split, remove_test_edges)
+from coldstart.config import ExperimentConfig
+from coldstart.data import (ITEM, USER, ExtrinsicSplit, Interaction, build_graph,
+                            extrinsic_split, meta_split, remove_test_edges)
 from coldstart.evaluate import (eval_extrinsic, mean_cosine, ndcg_at_k,
                                 rank_items, recall_at_k, sampling_benchmark,
                                 train_intrinsic_fusion)
-from coldstart.finetune import (InferenceConfig, finetune, fusion_init,
-                                infer_fused, load_store, model_checkpoint)
-from coldstart.pretraining import (GroundTruth, PretrainConfig, pretrain_all,
-                                   train_ground_truth)
+from coldstart.finetune import (finetune, fusion_init, infer_fused, load_store,
+                                model_checkpoint)
+from coldstart.pretraining import GroundTruth, pretrain_all, train_ground_truth
 
 
 def brute_force_metrics(scores, item_ids, relevant, k):
@@ -151,9 +151,9 @@ def toy_pipeline(tasks=("Rg", "Cg", "Rp", "Cp")):
     if tasks in _CACHE:
         return _CACHE[tasks]
     g = build_small_corpus()
-    pcfg = PretrainConfig(d=4, layers=2, path_len=3, k=2, epochs=2, lr=0.02,
-                          recon_batch=16, contrast_batch=8, blocks=1, heads=2,
-                          sampler="dynamic")
+    pcfg = ExperimentConfig(d=4, layers=2, path_len=3, k_intrinsic=2, pretrain_epochs=2,
+                            lr=0.02, recon_batch=16, contrast_batch=8, blocks=1, heads=2,
+                            sampler="dynamic")
     pairs = [(u, int(i)) for u in range(30) for i in g.neighbors(USER, u)]
     P, Q, _ = train_ground_truth(30, 20, pairs, 4, 0.05, 5, seed=2)
     gt = GroundTruth((P, Q), (P.copy(), Q.copy()))
@@ -163,8 +163,8 @@ def toy_pipeline(tasks=("Rg", "Cg", "Rp", "Cp")):
     cold = meta_split(g, USER, 8).cold  # degree-4 users 20..29
     ext = extrinsic_split(g, cold, 0.25)
     g_ft = remove_test_edges(g, ext)
-    icfg = InferenceConfig(d=4, layers=2, path_len=3, k=2, sampler="dynamic",
-                           blocks=1, heads=2, lr=0.02, epochs=2, batch=8)
+    icfg = ExperimentConfig(d=4, layers=2, path_len=3, k_extrinsic=2, sampler="dynamic",
+                            blocks=1, heads=2, lr=0.02, finetune_epochs=2, finetune_batch=8)
     out = (g_ft, ext, res.checkpoint, icfg)
     _CACHE[tasks] = out
     return out
@@ -194,7 +194,7 @@ class TestFinetuneLoop:
     def test_runs_and_traces_loss(self):
         _, _, _, icfg = toy_pipeline()
         model = finetuned_model()
-        assert len(model.loss_trace) == icfg.epochs
+        assert len(model.loss_trace) == icfg.finetune_epochs
         assert all(np.isfinite(v) for v in model.loss_trace)
         assert "fuse/w" in model.store.names()
         assert model.enabled == ["Rg", "Cg", "Rp", "Cp"]
@@ -228,14 +228,22 @@ class TestFinetuneLoop:
 
     def test_freeze_encoders_trains_only_fusion(self):
         g_ft, ext, ckpt, icfg = toy_pipeline()
-        model = finetune(g_ft, ext, ckpt, icfg, seed=5, freeze_encoders=True)
+        model = finetune(g_ft, ext, ckpt, replace(icfg, freeze_encoders=True), seed=5)
         for name, arr in ckpt.arrays.items():
             assert np.array_equal(model.store[name].data, arr), name
         assert not np.array_equal(model.store["fuse/w"].data, fusion_init(icfg.d, 4))
 
+    def test_saturated_user_rejected(self):
+        # items 0 and 1 are the only candidates, and user 0 trains on both
+        _, _, ckpt, icfg = toy_pipeline()
+        g = build_graph([Interaction(0, 0, 0), Interaction(0, 1, 1), Interaction(1, 0, 2)], 30, 20)
+        ext = ExtrinsicSplit(train={0: [(0, 0), (1, 1)], 1: [(0, 2)]})
+        with pytest.raises(ValueError, match="user 0"):
+            finetune(g, ext, ckpt, icfg, seed=5)
+
     def test_replan_follows_moving_tables(self):
         g_ft, ext, ckpt, icfg = toy_pipeline()
-        rcfg = replace(icfg, replan=True)
+        rcfg = replace(icfg, replan_each_epoch=True)
         model = finetune(g_ft, ext, ckpt, rcfg, seed=5)
         assert all(np.isfinite(v) for v in model.loss_trace)
         again = finetune(g_ft, ext, ckpt, rcfg, seed=5)
@@ -303,8 +311,8 @@ class TestEvalExtrinsic:
 class TestSamplingBenchmark:
     def test_reports_three_strategies(self):
         g = build_small_corpus()
-        pcfg = PretrainConfig(d=4, layers=2, path_len=3, k=2, epochs=2, lr=0.02,
-                              recon_batch=16, contrast_batch=8, blocks=1, heads=2)
+        pcfg = ExperimentConfig(d=4, layers=2, path_len=3, k_intrinsic=2, pretrain_epochs=2,
+                                lr=0.02, recon_batch=16, contrast_batch=8, blocks=1, heads=2)
         pairs = [(u, int(i)) for u in range(30) for i in g.neighbors(USER, u)]
         P, Q, _ = train_ground_truth(30, 20, pairs, 4, 0.05, 3, seed=2)
         gt = GroundTruth((P, Q), (P.copy(), Q.copy()))

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 import coldstart.autodiff as ad
-from coldstart.data import (ITEM, USER, Interaction, build_graph, intrinsic_split,
-                            mask_neighborhood, meta_split)
+from coldstart.config import ExperimentConfig
+from coldstart.data import ITEM, USER, Interaction, build_graph, intrinsic_split, meta_split
 from coldstart.pretraining import (GNN_TASKS, TASK_CODES, GroundTruth,
-                                   PretrainConfig, bpr_loss, contrastive_loss,
+                                   bpr_loss, contrastive_loss,
                                    ground_truth_pairs, init_task,
                                    masked_test_neighborhoods, pretrain_all,
                                    pretrain_targets, reconstruction_loss,
                                    train_ground_truth, train_task)
+from coldstart.sampling import mask_neighborhood
 
 
 def blocky_interactions(n_users=20, n_items=10, seed=77):
@@ -74,6 +75,11 @@ class TestGroundTruthMF:
     def test_no_pairs_rejected(self):
         with pytest.raises(ValueError):
             train_ground_truth(3, 3, [], 4, 0.05, 5, seed=1)
+
+    def test_saturated_user_rejected(self):
+        # user 0 has interacted with all 3 items, so no negative exists for it
+        with pytest.raises(ValueError, match="user 0"):
+            train_ground_truth(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0)], 4, 0.01, 1, 1)
 
 
 class TestGroundTruthPairs:
@@ -273,9 +279,9 @@ class TestBprLoss:
 
 class TestTaskSetup:
     def cfg(self):
-        return PretrainConfig(d=4, layers=2, path_len=4, k=2, epochs=2,
-                              recon_batch=8, contrast_batch=4, blocks=1, heads=2,
-                              lr=0.02, sampler="random")
+        return ExperimentConfig(d=4, layers=2, path_len=4, k_intrinsic=2, pretrain_epochs=2,
+                                recon_batch=8, contrast_batch=4, blocks=1, heads=2,
+                                lr=0.02, sampler="random")
 
     def test_parameter_families_per_task(self):
         g = blocky_interactions()
@@ -312,9 +318,9 @@ class TestTrainingRuns:
         self.g = blocky_interactions()
         self.gt = _quick_gt(self.g)
         self.targets = [(USER, u) for u in range(8)] + [(ITEM, i) for i in range(4)]
-        self.cfg = PretrainConfig(d=4, layers=2, path_len=4, k=2, epochs=3,
-                                  recon_batch=8, contrast_batch=6, blocks=1, heads=2,
-                                  lr=0.02, sampler="random")
+        self.cfg = ExperimentConfig(d=4, layers=2, path_len=4, k_intrinsic=2, pretrain_epochs=3,
+                                    recon_batch=8, contrast_batch=6, blocks=1, heads=2,
+                                    lr=0.02, sampler="random")
 
     def test_every_task_trains_and_logs(self):
         for code in TASK_CODES:
@@ -326,9 +332,9 @@ class TestTrainingRuns:
             assert all(l.wall_ms >= 0 for l in logs)
 
     def test_recon_loss_decreases(self):
-        cfg = PretrainConfig(d=4, layers=2, path_len=4, k=2, epochs=10,
-                             recon_batch=8, contrast_batch=6, blocks=1, heads=2,
-                             lr=0.05, sampler="random")
+        cfg = ExperimentConfig(d=4, layers=2, path_len=4, k_intrinsic=2, pretrain_epochs=10,
+                               recon_batch=8, contrast_batch=6, blocks=1, heads=2,
+                               lr=0.05, sampler="random")
         _, logs = train_task("Rg", self.g, self.targets, self.gt, cfg, seed=5)
         assert logs[-1].loss < logs[0].loss
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from coldstart.data import ITEM, USER, Interaction, build_graph, flip
-from coldstart.sampling import (SAMPLERS, sample_dynamic, sample_importance,
-                                sample_random)
+from coldstart.pretraining import _sample_tree
+from coldstart.sampling import sample_dynamic, sample_importance, sample_random
 
 
 def random_bipartite(rng, n_users, n_items, p):
@@ -61,7 +61,7 @@ class TestSharedStructure:
         g = random_bipartite(rng, 12, 10, 0.35)
         meta = rng.normal(size=(22, 4))
         cur = rng.normal(size=(22, 4))
-        sub = SAMPLERS[name](g, (USER, 0), 2, 3, 17, meta, cur)
+        sub = _sample_tree(name, g, (USER, 0), 2, 3, 17, meta, cur)
         assert sub.layers[0][0][:2] == (USER, 0)
         for l in range(1, len(sub.layers)):
             assert len(sub.layers[l]) <= 2 ** l
