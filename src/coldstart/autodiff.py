@@ -7,6 +7,8 @@ parameters produce bit-identical losses and gradients.
 
 Tensors are 0-d (scalars), 1-d, or 2-d. There is no broadcasting beyond what
 the ops below define. Non-finite values are rejected at op boundaries.
+Parameters are updated by Adam (optimizer_step). sigmoid_np and softmax_np are
+the forward expressions of the sigmoid and softmax ops, for untaped callers.
 """
 
 import numpy as np
@@ -291,10 +293,13 @@ def sum_(tape, a: Tensor, axis: int | None = None) -> Tensor:
     return _out(tape, "sum", (a,), a.data.sum(axis=axis), vjp)
 
 
-def sigmoid(tape, a: Tensor) -> Tensor:
+def sigmoid_np(x):
     # numerically symmetric form, no overflow either side
-    y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)),
-                 np.exp(a.data) / (1.0 + np.exp(a.data)))
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
+def sigmoid(tape, a: Tensor) -> Tensor:
+    y = sigmoid_np(a.data)
     return _out(tape, "sigmoid", (a,), y, lambda g: (g * y * (1.0 - y),))
 
 
@@ -314,10 +319,13 @@ def powf(tape, a: Tensor, p: float) -> Tensor:
     return _out(tape, "powf", (a,), y, lambda g: (g * p * ad ** (p - 1.0),))
 
 
+def softmax_np(x, axis: int = -1):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(tape, a: Tensor, axis: int = -1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_np(a.data, axis)
     ax = axis
 
     def vjp(g):
@@ -389,7 +397,7 @@ def linear(tape, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameters and optimizers
+# parameters and the optimizer
 
 
 class ParamStore:
@@ -422,9 +430,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self.params
 
-    def names(self):
-        return sorted(self.params)
-
     def trainable(self):
         return [n for n in sorted(self.params) if n not in self.frozen]
 
@@ -436,9 +441,10 @@ class ParamStore:
         return {n: self.params[n].data for n in sorted(self.params)}
 
 
-def optimizer_step(store: ParamStore, kind: str, lr: float,
+def optimizer_step(store: ParamStore, lr: float,
                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Apply one SGD or Adam update from accumulated grads, then zero them.
+    """Apply one bias-corrected Adam update from accumulated grads, then zero
+    them. Frozen parameters are left as they are.
 
     Raises on non-finite gradients, naming the offending parameter.
     """
@@ -446,29 +452,22 @@ def optimizer_step(store: ParamStore, kind: str, lr: float,
         g = store.params[name].grad
         if g is None or not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter {name}")
-    if kind == "sgd":
-        for name in store.trainable():
-            p = store.params[name]
-            p.data = p.data - lr * p.grad
-    elif kind == "adam":
-        store._adam_t += 1
-        t = store._adam_t
-        for name in store.trainable():
-            p = store.params[name]
-            m = store._adam_m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                store._adam_v[name] = np.zeros_like(p.data)
-            v = store._adam_v[name]
-            m = beta1 * m + (1.0 - beta1) * p.grad
-            v = beta2 * v + (1.0 - beta2) * (p.grad * p.grad)
-            store._adam_m[name] = m
-            store._adam_v[name] = v
-            mhat = m / (1.0 - beta1 ** t)
-            vhat = v / (1.0 - beta2 ** t)
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
-    else:
-        raise ValueError(f"unknown optimizer kind: {kind}")
+    store._adam_t += 1
+    t = store._adam_t
+    for name in store.trainable():
+        p = store.params[name]
+        m = store._adam_m.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            store._adam_v[name] = np.zeros_like(p.data)
+        v = store._adam_v[name]
+        m = beta1 * m + (1.0 - beta1) * p.grad
+        v = beta2 * v + (1.0 - beta2) * (p.grad * p.grad)
+        store._adam_m[name] = m
+        store._adam_v[name] = v
+        mhat = m / (1.0 - beta1 ** t)
+        vhat = v / (1.0 - beta2 ** t)
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
     store.zero_grads()
 
 

@@ -33,14 +33,6 @@ class Checkpoint:
         self.arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
         self.partial = partial
 
-    def task_sections(self) -> dict[str, dict[str, np.ndarray]]:
-        """Group arrays by their 'task/' prefix."""
-        out: dict[str, dict[str, np.ndarray]] = {}
-        for name, arr in self.arrays.items():
-            head, _, rest = name.partition("/")
-            out.setdefault(head, {})[rest] = arr
-        return out
-
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     buf = bytearray()

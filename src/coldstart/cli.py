@@ -23,10 +23,10 @@ from .config import ExperimentConfig, build_config, parse_config_file
 from .data import (ITEM, USER, ExtrinsicSplit, IntrinsicSplit, build_graph, extrinsic_split,
                    intrinsic_split, load_interactions, meta_split, remove_test_edges)
 from .evaluate import eval_extrinsic, eval_intrinsic_side, sampling_benchmark
-from .finetune import FinetunedModel, build_plans, finetune, load_store
+from .finetune import FinetunedModel, build_plans, finetune, load_store, model_checkpoint
 from .pretraining import (GroundTruth, ground_truth_pairs, masked_test_neighborhoods,
                           pretrain_all, pretrain_targets, train_ground_truth)
-from .rng import rng_for
+from .rng import derive_seed
 
 log = logging.getLogger("coldstart")
 
@@ -59,9 +59,7 @@ def _stage_dir(out: Path, stage: str) -> Path:
 
 
 def _write_meta(out: Path, stage: str, cfg: ExperimentConfig, extra: dict | None = None) -> None:
-    meta = {"stage": stage, "fingerprint": cfg.fingerprint()}
-    if extra:
-        meta.update(extra)
+    meta = {"stage": stage, "fingerprint": cfg.fingerprint(), **(extra or {})}
     atomic_write_text(out / stage / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -109,12 +107,43 @@ def _load_extrinsic(out: Path):
     return ext
 
 
-def _load_ground_truth(out: Path, cfg: ExperimentConfig) -> GroundTruth:
-    ckpt = load_checkpoint(out / "groundtruth" / "gt.ckpt")
+_CHECKPOINTS = {"groundtruth": "gt.ckpt", "pretrain": "checkpoint.ckpt", "finetune": "model.ckpt"}
+
+
+def _checkpoint_path(out: Path, stage: str) -> Path:
+    return out / stage / _CHECKPOINTS[stage]
+
+
+def _load_stage_checkpoint(out: Path, stage: str, cfg: ExperimentConfig) -> Checkpoint:
+    """A stage's checkpoint, refused unless it was written under cfg."""
+    ckpt = load_checkpoint(_checkpoint_path(out, stage))
     if ckpt.fingerprint != cfg.fingerprint():
-        raise SystemExit("ground-truth checkpoint fingerprint mismatch; re-run `coldstart groundtruth`")
-    a = ckpt.arrays
+        raise SystemExit(f"{stage} checkpoint fingerprint mismatch; re-run `coldstart {stage}`")
+    return ckpt
+
+
+def _load_ground_truth(out: Path, cfg: ExperimentConfig) -> GroundTruth:
+    a = _load_stage_checkpoint(out, "groundtruth", cfg).arrays
     return GroundTruth((a["gtu/user"], a["gtu/item"]), (a["gti/user"], a["gti/item"]))
+
+
+def _load_pretrain_inputs(out: Path, cfg: ExperimentConfig):
+    """Graph, ground truth and training targets of the pretrain and bench stages."""
+    graph = _load_canonical(out)
+    gt = _load_ground_truth(out, cfg)
+    targets = pretrain_targets(_load_partitions(out, USER), _load_partitions(out, ITEM))
+    return graph, gt, targets
+
+
+def _load_cold_inputs(out: Path):
+    """The fine-tuning graph (test edges removed) and the cold users' split."""
+    graph = _load_canonical(out)
+    ext = _load_extrinsic(out)
+    return remove_test_edges(graph, ext), ext
+
+
+def _write_loss_csv(path: Path, losses) -> None:
+    atomic_write_text(path, "epoch,loss\n" + "".join(f"{e},{v!r}\n" for e, v in enumerate(losses)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +169,10 @@ def cmd_split(cfg: ExperimentConfig, out: Path) -> None:
     _require_stage(out, "ingest", cfg)
     graph = _load_canonical(out)
     stage = _stage_dir(out, "split")
-    counts = {}
+    counts, cold = {}, {}
     for side, threshold in ((USER, cfg.user_threshold), (ITEM, cfg.item_threshold)):
         meta = meta_split(graph, side, threshold)
+        cold[side] = meta.cold
         intr = intrinsic_split(meta, cfg.intrinsic_ratio, cfg.seed)
         parts = ([(int(n), "train_t") for n in intr.train]
                  + [(int(n), "test_t") for n in intr.test]
@@ -152,14 +182,10 @@ def cmd_split(cfg: ExperimentConfig, out: Path) -> None:
                           "".join(f"{n}\t{p}\n" for n, p in parts))
         counts[side] = {"train_t": len(intr.train), "test_t": len(intr.test),
                         "cold": len(meta.cold)}
-    user_meta = meta_split(graph, USER, cfg.user_threshold)
-    ext = extrinsic_split(graph, user_meta.cold, cfg.c_frac)
+    ext = extrinsic_split(graph, cold[USER], cfg.c_frac)
     for name, book in (("extrinsic_train.tsv", ext.train), ("extrinsic_test.tsv", ext.test)):
-        lines = []
-        for u in sorted(book):
-            for i, ts in book[u]:
-                lines.append(f"{u}\t{i}\t{ts}\n")
-        atomic_write_text(stage / name, "".join(lines))
+        atomic_write_text(stage / name, "".join(
+            f"{u}\t{i}\t{ts}\n" for u in sorted(book) for i, ts in book[u]))
     _write_meta(out, "split", cfg, {
         "user": counts[USER], "item": counts[ITEM], "extrinsic_dropped": ext.dropped})
     log.info("split: user %s, item %s, extrinsic dropped %d",
@@ -169,44 +195,36 @@ def cmd_split(cfg: ExperimentConfig, out: Path) -> None:
 def cmd_groundtruth(cfg: ExperimentConfig, out: Path) -> None:
     _require_stage(out, "split", cfg)
     graph = _load_canonical(out)
-    arrays = {}
-    traces = {}
+    arrays, traces = {}, {}
     for side, tag in ((USER, "gtu"), (ITEM, "gti")):
         split = _load_partitions(out, side)
         masked = masked_test_neighborhoods(graph, split, cfg.k_intrinsic, cfg.layers, cfg.seed)
         pairs = ground_truth_pairs(graph, split, masked)
         P, Q, losses = train_ground_truth(
             graph.n_users, graph.n_items, pairs, cfg.d, cfg.lr, cfg.gt_epochs,
-            int(rng_for(cfg.seed, "gtrun", side).integers(2 ** 31)))
+            derive_seed(cfg.seed, "gtrun", side))
         arrays[f"{tag}/user"] = P
         arrays[f"{tag}/item"] = Q
         traces[tag] = losses
     stage = _stage_dir(out, "groundtruth")
-    atomic_save_checkpoint(stage / "gt.ckpt", Checkpoint(cfg.fingerprint(), arrays))
+    atomic_save_checkpoint(_checkpoint_path(out, "groundtruth"), Checkpoint(cfg.fingerprint(), arrays))
     for tag, losses in traces.items():
-        atomic_write_text(stage / f"loss_{tag}.csv",
-                          "epoch,loss\n" + "".join(f"{e},{v!r}\n" for e, v in enumerate(losses)))
+        _write_loss_csv(stage / f"loss_{tag}.csv", losses)
     _write_meta(out, "groundtruth", cfg)
     log.info("groundtruth: trained both protocol sides")
 
 
 def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> int:
     _require_stage(out, "groundtruth", cfg)
-    graph = _load_canonical(out)
-    gt = _load_ground_truth(out, cfg)
-    user_split = _load_partitions(out, USER)
-    item_split = _load_partitions(out, ITEM)
-    targets = pretrain_targets(user_split, item_split)
+    graph, gt, targets = _load_pretrain_inputs(out, cfg)
     result = pretrain_all(graph, targets, gt, cfg, cfg.seed,
                           cfg.fingerprint(), tasks=cfg.task_list())
     stage = _stage_dir(out, "pretrain")
-    atomic_save_checkpoint(stage / "checkpoint.ckpt", result.checkpoint)
+    atomic_save_checkpoint(_checkpoint_path(out, "pretrain"), result.checkpoint)
     atomic_write_text(stage / "train_log.tsv", "".join(
-        f"{l.task}\t{l.epoch}\t{l.loss!r}\t{l.wall_ms:.3f}\n" for l in result.logs))
+        f"{l.task}\t{l.epoch}\t{l.loss!r}\t{l.wall_ms:.3f}\t{l.skipped}\n" for l in result.logs))
     for code in cfg.task_list():
-        rows = [l for l in result.logs if l.task == code]
-        atomic_write_text(stage / f"loss_{code}.csv",
-                          "epoch,loss\n" + "".join(f"{l.epoch},{l.loss!r}\n" for l in rows))
+        _write_loss_csv(stage / f"loss_{code}.csv", [l.loss for l in result.logs if l.task == code])
     _write_meta(out, "pretrain", cfg, {"failed_tasks": result.failed})
     if result.failed:
         log.error("pretrain: diverged tasks %s; checkpoint marked partial", result.failed)
@@ -217,20 +235,14 @@ def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_finetune(cfg: ExperimentConfig, out: Path) -> None:
     _require_stage(out, "pretrain", cfg)
-    ckpt = load_checkpoint(out / "pretrain" / "checkpoint.ckpt")
-    if ckpt.fingerprint != cfg.fingerprint():
-        raise SystemExit("pretrain checkpoint fingerprint mismatch; re-run `coldstart pretrain`")
+    ckpt = _load_stage_checkpoint(out, "pretrain", cfg)
     if ckpt.partial:
         raise SystemExit("pretrain checkpoint is partial (a task diverged); not fine-tuning")
-    graph = _load_canonical(out)
-    ext = _load_extrinsic(out)
-    graph_ft = remove_test_edges(graph, ext)
+    graph_ft, ext = _load_cold_inputs(out)
     model = finetune(graph_ft, ext, ckpt, cfg, cfg.seed)
     stage = _stage_dir(out, "finetune")
-    atomic_save_checkpoint(stage / "model.ckpt",
-                           Checkpoint(cfg.fingerprint(), model.store.state_arrays()))
-    atomic_write_text(stage / "loss.csv",
-                      "epoch,loss\n" + "".join(f"{e},{v!r}\n" for e, v in enumerate(model.loss_trace)))
+    atomic_save_checkpoint(_checkpoint_path(out, "finetune"), model_checkpoint(model, cfg.fingerprint()))
+    _write_loss_csv(stage / "loss.csv", model.loss_trace)
     _write_meta(out, "finetune", cfg)
     log.info("finetune: %d epochs over %d cold users", cfg.finetune_epochs, len(ext.train))
 
@@ -240,16 +252,9 @@ def _rebuild_finetuned(cfg: ExperimentConfig, out: Path) -> FinetunedModel:
     default plans were sampled before fine-tuning moved the embeddings, so
     they are rebuilt from the pre-train tables; with replan_each_epoch the
     model follows its moving tables, so plans come from the fine-tuned ones."""
-    pre = load_checkpoint(out / "pretrain" / "checkpoint.ckpt")
-    fin = load_checkpoint(out / "finetune" / "model.ckpt")
-    for ck, stage in ((pre, "pretrain"), (fin, "finetune")):
-        if ck.fingerprint != cfg.fingerprint():
-            raise SystemExit(f"{stage} checkpoint fingerprint mismatch; re-run `coldstart {stage}`")
-    graph = _load_canonical(out)
-    ext = _load_extrinsic(out)
-    graph_ft = remove_test_edges(graph, ext)
-    pre_store, enabled = load_store(pre)
-    fin_store, _ = load_store(fin)
+    pre_store, enabled = load_store(_load_stage_checkpoint(out, "pretrain", cfg))
+    fin_store, _ = load_store(_load_stage_checkpoint(out, "finetune", cfg))
+    graph_ft, ext = _load_cold_inputs(out)
     plan_store = fin_store if cfg.replan_each_epoch else pre_store
     plans = build_plans(graph_ft, sorted(ext.train), plan_store, enabled, cfg, cfg.seed)
     return FinetunedModel(fin_store, enabled, cfg, graph_ft.n_users, graph_ft.n_items, plans)
@@ -260,8 +265,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:
     graph = _load_canonical(out)
     gt = _load_ground_truth(out, cfg)
     ext = _load_extrinsic(out)
-    pre = load_checkpoint(out / "pretrain" / "checkpoint.ckpt")
-    pre_store, enabled = load_store(pre)
+    pre_store, enabled = load_store(_load_stage_checkpoint(out, "pretrain", cfg))
 
     metrics: dict[str, float] = {}
     for side in (USER, ITEM):
@@ -293,11 +297,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:
 
 def cmd_bench(cfg: ExperimentConfig, out: Path, epochs: int = 10) -> None:
     _require_stage(out, "groundtruth", cfg)
-    graph = _load_canonical(out)
-    gt = _load_ground_truth(out, cfg)
-    user_split = _load_partitions(out, USER)
-    item_split = _load_partitions(out, ITEM)
-    targets = pretrain_targets(user_split, item_split)
+    graph, gt, targets = _load_pretrain_inputs(out, cfg)
     rows, summaries = sampling_benchmark(graph, targets, gt, cfg, cfg.seed, epochs=epochs)
     stage = _stage_dir(out, "bench")
     atomic_write_text(stage / "timings.tsv", "strategy\tepoch\tsample_s\ttrain_s\n" + "".join(
@@ -361,21 +361,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    rc = 0
-    if args.command == "ingest":
-        cmd_ingest(cfg, out)
-    elif args.command == "split":
-        cmd_split(cfg, out)
-    elif args.command == "groundtruth":
-        cmd_groundtruth(cfg, out)
-    elif args.command == "pretrain":
-        rc = cmd_pretrain(cfg, out)
-    elif args.command == "finetune":
-        cmd_finetune(cfg, out)
-    elif args.command == "eval":
-        cmd_eval(cfg, out)
-    elif args.command == "bench":
-        cmd_bench(cfg, out)
+    # looked up at call time, so a rebound module attribute is the one that runs
+    rc = globals()[f"cmd_{args.command}"](cfg, out) or 0
     log.debug("%s finished in %.2fs", args.command, time.perf_counter() - t0)
     return rc
 

@@ -5,6 +5,9 @@ refuse to chain."""
 import hashlib
 from dataclasses import dataclass, fields
 
+TASK_CODES = ("Rg", "Cg", "Rp", "Cp")
+GNN_TASKS = ("Rg", "Cg")  # the other two run the transformer over walks
+
 
 @dataclass
 class ExperimentConfig:
@@ -65,13 +68,56 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
+_CHOICES = {"sampler": ("random", "importance", "dynamic"),
+            "aug": ("delete", "substitute", "both")}
+# smallest accepted value of each integer key
+_MIN = {"d": 1, "layers": 1, "k_intrinsic": 1, "k_extrinsic": 1, "k_eval": 1,
+        "user_threshold": 0, "item_threshold": 0, "gt_epochs": 0, "pretrain_epochs": 0,
+        "finetune_epochs": 0, "recon_batch": 1, "contrast_batch": 1, "finetune_batch": 1,
+        "blocks": 0, "heads": 1}
+
+
+def _check_values(cfg: ExperimentConfig) -> None:
+    """Reject values that no stage can run with, naming the key."""
+    def bad(key, why):
+        raise ValueError(f"config key {key!r}: {why}, got {getattr(cfg, key)!r}")
+
+    for key, low in _MIN.items():
+        if getattr(cfg, key) < low:
+            bad(key, f"must be >= {low}")
+    for key in ("lr", "tau"):
+        if not getattr(cfg, key) > 0.0:
+            bad(key, "must be > 0")
+    for key in ("c_frac", "intrinsic_ratio"):
+        if not 0.0 < getattr(cfg, key) < 1.0:
+            bad(key, "must be strictly between 0 and 1")
+    for key in ("delete_ratio", "subst_ratio"):
+        if not 0.0 <= getattr(cfg, key) <= 1.0:
+            bad(key, "must be in [0, 1]")
+    for key, options in _CHOICES.items():
+        if getattr(cfg, key) not in options:
+            bad(key, f"expected one of {', '.join(options)}")
+    tasks = cfg.task_list()
+    if not tasks or any(t not in TASK_CODES for t in tasks):
+        bad("tasks", f"expected a comma-joined subset of {','.join(TASK_CODES)}")
+    if any(t not in GNN_TASKS for t in tasks):  # the walk tasks' transformer
+        if cfg.path_len < 2:
+            bad("path_len", "walks need at least 2 nodes")
+        if cfg.d % cfg.heads != 0:
+            bad("heads", f"the transformer width d={cfg.d} must be divisible by the head count")
+    if cfg.aug == "both" and cfg.subst_ratio != cfg.delete_ratio:
+        raise ValueError(f"config keys 'subst_ratio' and 'delete_ratio': aug=both applies "
+                         f"delete_ratio to both of its steps, so subst_ratio "
+                         f"{cfg.subst_ratio!r} must equal delete_ratio {cfg.delete_ratio!r}")
+
+
 _BOOLS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
 
 
 def build_config(file_values: dict[str, str] | None = None,
                  overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Typed config from defaults, then file values, then CLI overrides.
-    Unknown keys are errors."""
+    Unknown keys and values that no stage can run with are errors."""
     cfg = ExperimentConfig()
     typed = {f.name: f.type for f in fields(cfg)}
     for source in (file_values or {}, overrides or {}):
@@ -90,4 +136,5 @@ def build_config(file_values: dict[str, str] | None = None,
                 setattr(cfg, key, float(val))
             else:
                 setattr(cfg, key, str(val))
+    _check_values(cfg)
     return cfg

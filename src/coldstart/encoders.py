@@ -6,7 +6,9 @@ rows, then one reserved mask-token row):
 * a sampled-subgraph GNN whose convolution concatenates a frozen meta
   embedding (self-attention summary of a node's initial first-order neighbor
   embeddings, averaged) with the node's previous state and the mean of its
-  children's states, then applies a learned projection and sigmoid;
+  children's states, then applies a learned projection and sigmoid. The meta
+  aggregator is plain numpy: its table is computed once per task, registered
+  frozen and never differentiated;
 * a pre-norm transformer over user-item walk sequences with learned positional
   embeddings, used to read out either a masked position or the target's
   position.
@@ -56,21 +58,14 @@ def init_meta_params(store: ad.ParamStore, base: str, d: int, seed: int) -> None
         store.register(f"{base}/meta/{name}", glorot(rng_for(seed, base, "meta", name), d, d))
 
 
-def meta_aggregate(tape, store: ad.ParamStore, base: str, neighbor_embs: ad.Tensor) -> ad.Tensor:
-    """Self-attention over the neighbor rows, then the row mean."""
-    if neighbor_embs.data.ndim != 2 or neighbor_embs.data.shape[0] == 0:
+def meta_aggregate(rows: np.ndarray, wq: np.ndarray, wk: np.ndarray,
+                   wv: np.ndarray) -> np.ndarray:
+    """Self-attention over the (K, d) neighbor rows, then the row mean."""
+    if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("meta_aggregate: need a non-empty (K, d) neighbor matrix")
-    q = ad.matmul(tape, neighbor_embs, store[f"{base}/meta/wq"])
-    k = ad.matmul(tape, neighbor_embs, store[f"{base}/meta/wk"])
-    v = ad.matmul(tape, neighbor_embs, store[f"{base}/meta/wv"])
-    out = ad.scaled_dot_attention(tape, q, k, v)
-    return ad.mean(tape, out, axis=0)
-
-
-def _np_softmax_rows(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    scale = 1.0 / np.sqrt(rows.shape[1])
+    attn = ad.softmax_np((rows @ wq) @ (rows @ wk).T * scale)
+    return (attn @ (rows @ wv)).mean(axis=0)
 
 
 def compute_meta_table(graph: BipartiteGraph, embed: np.ndarray,
@@ -81,9 +76,7 @@ def compute_meta_table(graph: BipartiteGraph, embed: np.ndarray,
     this table is computed once per task and frozen."""
     if k < 1:
         raise ValueError(f"compute_meta_table: k must be >= 1, got {k}")
-    d = embed.shape[1]
-    table = np.zeros((embed.shape[0], d))
-    scale = 1.0 / np.sqrt(d)
+    table = np.zeros(embed.shape)
     for side in (USER, ITEM):
         cside = flip(side)
         for node in range(graph.n_nodes(side)):
@@ -94,8 +87,7 @@ def compute_meta_table(graph: BipartiteGraph, embed: np.ndarray,
                 rng = rng_for(seed, "metak", side, node)
                 nbrs = np.sort(nbrs[rng.choice(len(nbrs), size=k, replace=False)])
             rows = embed[[node_index(cside, int(c), graph.n_users) for c in nbrs]]
-            attn = _np_softmax_rows((rows @ wq) @ (rows @ wk).T * scale)
-            table[node_index(side, node, graph.n_users)] = (attn @ (rows @ wv)).mean(axis=0)
+            table[node_index(side, node, graph.n_users)] = meta_aggregate(rows, wq, wk, wv)
     return table
 
 

@@ -12,9 +12,9 @@ from .config import ExperimentConfig
 from .data import ITEM, USER, BipartiteGraph
 from .finetune import FinetunedModel, NodePlan, encode_node, fusion_init
 from .paths import generate_positioned_paths
-from .pretraining import (GNN_TASKS, GroundTruth, init_task, sample_recon_trees,
-                          train_on_recon_trees)
-from .rng import rng_for
+from .pretraining import (GNN_TASKS, GroundTruth, init_task, reconstruction_loss,
+                          sample_recon_trees, train_on_recon_trees)
+from .rng import derive_seed
 from .sampling import mask_neighborhood
 
 
@@ -107,7 +107,7 @@ def _task_inference(store, enabled, tree, node, cfg: ExperimentConfig,
         if code in GNN_TASKS:
             plan.trees[code] = tree
         else:
-            path_seed = int(rng_for(seed, "intr-paths", code, node[0], node[1]).integers(2 ** 31))
+            path_seed = derive_seed(seed, "intr-paths", code, node[0], node[1])
             plan.paths[code] = generate_positioned_paths(tree, node, cfg.path_len, path_seed)
     embs = encode_node(None, store, plan, enabled, cfg, n_users, n_items)
     return {code: e.data for code, e in zip(enabled, embs)}
@@ -121,17 +121,12 @@ def train_intrinsic_fusion(train_preds: list[np.ndarray], train_gts: list[np.nda
     store = ad.ParamStore()
     store.register("w", fusion_init(d, n_tasks))
     x = np.stack(train_preds)
-    g = np.stack(train_gts)
     for _ in range(epochs):
         tape = ad.Tape()
-        terms = []
-        for row in range(x.shape[0]):
-            fused = ad.matmul(tape, ad.Tensor(x[row]), store["w"])
-            c = ad.cosine_sim(tape, fused, ad.Tensor(g[row]))
-            terms.append(ad.add_scalar(tape, ad.mul_scalar(tape, c, -1.0), 1.0))
-        loss = ad.mul_scalar(tape, ad.add_n(tape, terms), 1.0 / len(terms))
+        preds = [ad.matmul(tape, ad.Tensor(x[row]), store["w"]) for row in range(x.shape[0])]
+        loss = reconstruction_loss(tape, preds, train_gts)
         ad.backward(tape, loss)
-        ad.optimizer_step(store, "adam", lr)
+        ad.optimizer_step(store, lr)
     return store["w"].data
 
 
@@ -169,8 +164,9 @@ def eval_intrinsic_side(graph: BipartiteGraph, split, masked_test: dict,
     test_targets = sorted(int(t) for t in masked_test)
     per_task_test, gts_test = preds_for(test_targets, masked_test)
 
+    fuse_seed = derive_seed(seed, "intr-fuse", side)
     train_trees = {int(t): mask_neighborhood(graph, (side, int(t)), cfg.k_intrinsic, cfg.layers,
-                                             int(rng_for(seed, "intr-fuse", side).integers(2 ** 31)))
+                                             fuse_seed)
                    for t in split.train}
     per_task_train, gts_train = preds_for(sorted(train_trees), train_trees)
 

@@ -21,7 +21,7 @@ from .config import ExperimentConfig
 from .data import ITEM, USER, BipartiteGraph
 from .paths import generate_positioned_paths
 from .pretraining import GNN_TASKS, TASK_CODES, bpr_loss
-from .rng import rng_for
+from .rng import derive_seed, rng_for
 from .sampling import sample_dynamic, sample_random
 
 Node = tuple[str, int]
@@ -58,7 +58,7 @@ def build_plan(graph: BipartiteGraph, node: Node, store: ad.ParamStore, enabled,
     walks per path task."""
     plan = NodePlan()
     for code in enabled:
-        tree_seed = int(rng_for(seed, "plan", code, node[0], node[1]).integers(2 ** 31))
+        tree_seed = derive_seed(seed, "plan", code, node[0], node[1])
         if code == "Rg" and cfg.sampler == "dynamic":
             tree = sample_dynamic(graph, node, cfg.k_extrinsic, cfg.layers,
                                   store["Rg/meta_table"].data, store["Rg/embed"].data)
@@ -67,7 +67,7 @@ def build_plan(graph: BipartiteGraph, node: Node, store: ad.ParamStore, enabled,
         if code in GNN_TASKS:
             plan.trees[code] = tree
         else:
-            path_seed = int(rng_for(seed, "plan-paths", code, node[0], node[1]).integers(2 ** 31))
+            path_seed = derive_seed(seed, "plan-paths", code, node[0], node[1])
             plan.paths[code] = generate_positioned_paths(tree, node, cfg.path_len, path_seed)
     return plan
 
@@ -161,7 +161,7 @@ def finetune(graph_ft: BipartiteGraph, ext_split, ckpt: Checkpoint,
     model = FinetunedModel(store, enabled, cfg, n_users, n_items, plans)
     for epoch in range(cfg.finetune_epochs):
         if cfg.replan_each_epoch and epoch > 0:
-            pseed = int(rng_for(seed, "replan", epoch).integers(2 ** 31))
+            pseed = derive_seed(seed, "replan", epoch)
             plans.update(build_plans(graph_ft, users, store, enabled, cfg, pseed))
         rng = rng_for(seed, "ft", epoch)
         order = rng.permutation(len(positives))
@@ -188,7 +188,7 @@ def finetune(graph_ft: BipartiteGraph, ext_split, ckpt: Checkpoint,
                                    for u, _, j in triples], axis=0)
             loss = bpr_loss(tape, pos, neg)
             ad.backward(tape, loss)
-            ad.optimizer_step(store, "adam", cfg.lr)
+            ad.optimizer_step(store, cfg.lr)
             total += float(loss.data) * len(batch)
         model.loss_trace.append(total / max(len(positives), 1))
     return model

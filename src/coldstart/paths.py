@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .data import BipartiteGraph, TreeNode, flip
-from .rng import rng_for
+from .rng import derive_seed, rng_for
 from .sampling import _tree_sample, uniform_pick
 
 Node = tuple[str, int]
@@ -135,12 +135,6 @@ def generate_positioned_paths(structure, target: Node, t_len: int, seed: int) ->
     return out
 
 
-def mask_path(path: list[Node], pos: int) -> MaskedPath:
-    if not (0 <= pos < len(path)):
-        raise IndexError(f"mask_path: position {pos} outside path of length {len(path)}")
-    return MaskedPath(list(path), pos, path[pos])
-
-
 # ---------------------------------------------------------------------------
 # augmentations
 
@@ -199,7 +193,7 @@ def augment_subgraph(sub, graph: BipartiteGraph, op: str, ratio: float, seed: in
     if op == "both":
         once = augment_subgraph(sub, graph, "delete", ratio, seed)
         return augment_subgraph(once, graph, "substitute", ratio,
-                                int(rng_for(seed, "bothsub").integers(2 ** 31)))
+                                derive_seed(seed, "bothsub"))
     if op not in ("delete", "substitute"):
         raise ValueError(f"unknown augmentation op: {op!r}")
 
@@ -246,7 +240,7 @@ def augment_path(path: list[Node], op: str, ratio: float, seed: int,
         first = augment_path(path, "delete", ratio, seed, graph, protect)
         new_protect = first.kept_from.index(protect) if protect is not None else None
         second = augment_path(first.nodes, "substitute", ratio,
-                              int(rng_for(seed, "bothpath").integers(2 ** 31)), graph, new_protect)
+                              derive_seed(seed, "bothpath"), graph, new_protect)
         return AugmentedPath(second.nodes, [first.kept_from[j] for j in second.kept_from])
     if op not in ("delete", "substitute"):
         raise ValueError(f"unknown augmentation op: {op!r}")

@@ -22,16 +22,12 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders as enc
 from .checkpoint import Checkpoint
-from .config import ExperimentConfig
+from .config import GNN_TASKS, TASK_CODES, ExperimentConfig
 from .data import ITEM, USER, BipartiteGraph
 from .paths import augment_path, augment_subgraph, generate_paths, generate_positioned_paths
-from .rng import rng_for
+from .rng import derive_seed, rng_for
 from .sampling import (SampledSubgraph, mask_neighborhood, sample_dynamic,
                        sample_importance, sample_random)
-
-TASK_CODES = ("Rg", "Cg", "Rp", "Cp")
-GNN_TASKS = ("Rg", "Cg")
-PATH_TASKS = ("Rp", "Cp")
 
 
 class TaskDivergence(RuntimeError):
@@ -42,10 +38,6 @@ class TaskDivergence(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # ground truth
-
-
-def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
 
 
 def train_ground_truth(n_users: int, n_items: int, pairs, d: int, lr: float,
@@ -79,7 +71,7 @@ def train_ground_truth(n_users: int, n_items: int, pairs, d: int, lr: float,
             while j in pos_items[u]:
                 j = int(rng.integers(n_items))
             x = P[u] @ (Q[i] - Q[j])
-            s = _sigmoid(-x)
+            s = ad.sigmoid_np(-x)
             total += float(np.logaddexp(0.0, -x))
             gu = s * (Q[i] - Q[j]) - reg * P[u]
             gi = s * P[u] - reg * Q[i]
@@ -196,8 +188,7 @@ def init_task(code: str, graph: BipartiteGraph, cfg: ExperimentConfig, seed: int
         enc.init_gnn_params(store, code, cfg.d, cfg.layers, seed)
         meta = enc.compute_meta_table(
             graph, store[f"{code}/embed"].data,
-            store[f"{code}/meta/wq"].data, store[f"{code}/meta/wk"].data,
-            store[f"{code}/meta/wv"].data, cfg.k_intrinsic, seed)
+            *(store[f"{code}/meta/{name}"].data for name in ("wq", "wk", "wv")), cfg.k_intrinsic, seed)
         store.register(f"{code}/meta_table", meta, frozen=True)
     else:
         enc.init_transformer_params(store, code, cfg.d, cfg.path_len, cfg.blocks, cfg.heads, seed)
@@ -241,12 +232,10 @@ def sample_recon_trees(state, graph, targets, cfg, seed, epoch):
     store = state.store
     meta = store[f"{state.code}/meta_table"].data if f"{state.code}/meta_table" in store else None
     cur = store[f"{state.code}/embed"].data
-    trees = {}
-    for t in targets:
-        trees[t] = _sample_tree(cfg.sampler, graph, t, cfg.k_intrinsic, cfg.layers,
-                                int(rng_for(seed, state.code, "tree", epoch, t[0], t[1]).integers(2 ** 31)),
-                                meta=meta, cur=cur)
-    return trees
+    return {t: _sample_tree(cfg.sampler, graph, t, cfg.k_intrinsic, cfg.layers,
+                            derive_seed(seed, state.code, "tree", epoch, t[0], t[1]),
+                            meta=meta, cur=cur)
+            for t in targets}
 
 
 def train_on_recon_trees(state, trees, targets, gt, cfg, seed, epoch):
@@ -262,7 +251,7 @@ def train_on_recon_trees(state, trees, targets, gt, cfg, seed, epoch):
             gts.append(gt.target_vec(*t))
         loss = reconstruction_loss(tape, preds, gts)
         ad.backward(tape, loss)
-        ad.optimizer_step(store, "adam", cfg.lr)
+        ad.optimizer_step(store, cfg.lr)
         total += float(loss.data) * len(batch)
         count += len(batch)
     return total / count
@@ -285,13 +274,13 @@ def _gnn_contrast_epoch(state, graph, targets, gt, cfg, seed, epoch):
         tape = ad.Tape()
         views = []
         for t in batch:
-            base_seed = int(rng_for(seed, state.code, "tree", epoch, t[0], t[1]).integers(2 ** 31))
+            base_seed = derive_seed(seed, state.code, "tree", epoch, t[0], t[1])
             tree = sample_random(graph, t, cfg.k_intrinsic, cfg.layers, base_seed)
             pair = []
             for v in (0, 1):
                 ratio = cfg.delete_ratio if cfg.aug != "substitute" else cfg.subst_ratio
                 aug = augment_subgraph(tree, graph, cfg.aug, ratio,
-                                       int(rng_for(seed, state.code, "aug", epoch, t[0], t[1], v).integers(2 ** 31)))
+                                       derive_seed(seed, state.code, "aug", epoch, t[0], t[1], v))
                 try:
                     h = enc.gnn_forward(tape, store, state.code, aug, cfg.layers, state.n_users)
                 except ValueError:
@@ -307,7 +296,7 @@ def _gnn_contrast_epoch(state, graph, targets, gt, cfg, seed, epoch):
             continue
         loss = contrastive_loss(tape, views, cfg.tau)
         ad.backward(tape, loss)
-        ad.optimizer_step(store, "adam", cfg.lr)
+        ad.optimizer_step(store, cfg.lr)
         total += float(loss.data) * (len(views) // 2)
         count += len(views) // 2
     if count == 0:
@@ -325,10 +314,9 @@ def _path_recon_epoch(state, graph, targets, gt, cfg, seed, epoch):
         preds, gts = [], []
         for t in batch:
             tree = sample_random(graph, t, cfg.k_intrinsic, cfg.layers,
-                                 int(rng_for(seed, state.code, "tree", epoch, t[0], t[1]).integers(2 ** 31)))
+                                 derive_seed(seed, state.code, "tree", epoch, t[0], t[1]))
             paths = generate_positioned_paths(
-                tree, t, cfg.path_len,
-                int(rng_for(seed, state.code, "paths", epoch, t[0], t[1]).integers(2 ** 31)))
+                tree, t, cfg.path_len, derive_seed(seed, state.code, "paths", epoch, t[0], t[1]))
             if not paths:
                 skipped += 1
                 continue
@@ -342,7 +330,7 @@ def _path_recon_epoch(state, graph, targets, gt, cfg, seed, epoch):
             continue
         loss = reconstruction_loss(tape, preds, gts)
         ad.backward(tape, loss)
-        ad.optimizer_step(store, "adam", cfg.lr)
+        ad.optimizer_step(store, cfg.lr)
         total += float(loss.data) * len(preds)
         count += len(preds)
     if count == 0:
@@ -361,9 +349,9 @@ def _path_contrast_epoch(state, graph, targets, gt, cfg, seed, epoch):
         views = []
         for t in batch:
             tree = sample_random(graph, t, cfg.k_intrinsic, cfg.layers,
-                                 int(rng_for(seed, state.code, "tree", epoch, t[0], t[1]).integers(2 ** 31)))
+                                 derive_seed(seed, state.code, "tree", epoch, t[0], t[1]))
             walk = generate_paths(tree, t, cfg.path_len, 1,
-                                  int(rng_for(seed, state.code, "walk", epoch, t[0], t[1]).integers(2 ** 31)))[0]
+                                  derive_seed(seed, state.code, "walk", epoch, t[0], t[1]))[0]
             if len(walk.nodes) < 2:
                 skipped += 1
                 continue
@@ -371,7 +359,7 @@ def _path_contrast_epoch(state, graph, targets, gt, cfg, seed, epoch):
             for v in (0, 1):
                 ratio = cfg.delete_ratio if cfg.aug != "substitute" else cfg.subst_ratio
                 aug = augment_path(walk.nodes, cfg.aug, ratio,
-                                   int(rng_for(seed, state.code, "aug", epoch, t[0], t[1], v).integers(2 ** 31)),
+                                   derive_seed(seed, state.code, "aug", epoch, t[0], t[1], v),
                                    graph=graph, protect=0)
                 pos = aug.kept_from.index(0)
                 h = enc.encode_path_at(tape, store, state.code, aug.nodes, pos,
@@ -383,7 +371,7 @@ def _path_contrast_epoch(state, graph, targets, gt, cfg, seed, epoch):
             continue
         loss = contrastive_loss(tape, views, cfg.tau)
         ad.backward(tape, loss)
-        ad.optimizer_step(store, "adam", cfg.lr)
+        ad.optimizer_step(store, cfg.lr)
         total += float(loss.data) * (len(views) // 2)
         count += len(views) // 2
     if count == 0:
@@ -425,22 +413,21 @@ class PretrainResult:
 
 
 def pretrain_all(graph: BipartiteGraph, targets, gt: GroundTruth, cfg: ExperimentConfig,
-                 seed: int, fingerprint: str, tasks=TASK_CODES, order=None) -> PretrainResult:
+                 seed: int, fingerprint: str, tasks=TASK_CODES) -> PretrainResult:
     """Train the enabled pretext tasks and assemble one checkpoint.
 
     Tasks share nothing mutable: each derives its own seeds and parameters, so
-    any execution order yields a bit-identical checkpoint. A diverged task is
+    any subset or order of tasks yields bit-identical sections. A diverged task is
     left out and the checkpoint is marked partial.
     """
     tasks = list(tasks)
     for t in tasks:
         if t not in TASK_CODES:
             raise ValueError(f"unknown pretext task: {t!r}")
-    run_order = list(order) if order is not None else tasks
     arrays: dict[str, np.ndarray] = {}
     logs: list[EpochLog] = []
     failed: list[str] = []
-    for code in run_order:
+    for code in tasks:
         try:
             state, task_logs = train_task(code, graph, targets, gt, cfg, seed)
         except TaskDivergence as e:

@@ -22,3 +22,8 @@ def rng_for(seed: int, *keys) -> np.random.Generator:
     """Generator for (seed, *keys); stable across runs and platforms."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_key_int(k) for k in keys]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def derive_seed(seed: int, *keys) -> int:
+    """An integer seed in [0, 2**31) drawn from the stream of (seed, *keys)."""
+    return int(rng_for(seed, *keys).integers(2 ** 31))

@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from coldstart import autodiff as ad
 from coldstart import encoders as enc
@@ -395,13 +396,13 @@ def test_criterion_5():
     # (a) neighbor permutation leaves the aggregated embedding unchanged
     store = ad.ParamStore()
     enc.init_meta_params(store, "m", d, seed=1)
+    w = [store[f"m/meta/{name}"].data for name in ("wq", "wk", "wv")]
     drift = 0.0
     for n in (1, 2, 5, 8):
         neigh = rng.normal(size=(n, d))
-        base = enc.meta_aggregate(ad.Tape(), store, "m", ad.Tensor(neigh)).data
+        base = enc.meta_aggregate(neigh, *w)
         for _ in range(3):
-            perm = enc.meta_aggregate(ad.Tape(), store, "m",
-                                      ad.Tensor(neigh[rng.permutation(n)])).data
+            perm = enc.meta_aggregate(neigh[rng.permutation(n)], *w)
             drift = max(drift, float(np.abs(base - perm).max()))
     assert drift <= 1e-10, drift
 
@@ -525,6 +526,7 @@ def test_criterion_9(tmp_path):
 # 6. cold-start lift on the bundled corpus (slowest check, kept last)
 
 
+@pytest.mark.slow
 def test_criterion_6(tmp_path):
     variants = {"full": [], "init": ["--set", "pretrain_epochs=0"], "rg": ["--tasks", "Rg"]}
     seeds = (21, 22, 23)

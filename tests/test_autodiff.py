@@ -340,14 +340,6 @@ class TestBackwardMechanics:
 
 
 class TestOptimizers:
-    def test_sgd_step(self):
-        store = ad.ParamStore()
-        store.register("w", np.array([1.0, 2.0]))
-        store.params["w"].grad = np.array([0.5, -1.0])
-        ad.optimizer_step(store, "sgd", lr=0.1)
-        np.testing.assert_allclose(store.params["w"].data, [0.95, 2.1], atol=1e-15)
-        assert store.params["w"].grad is None or not store.params["w"].grad.any()
-
     def test_adam_first_step_closed_form(self):
         # with bias correction, step 1 reduces to lr * g / (|g| + eps)
         g = np.array([0.3, -2.0, 1e-12])
@@ -355,7 +347,7 @@ class TestOptimizers:
         store.register("w", np.zeros(3))
         store.params["w"].grad = g.copy()
         lr, eps = 0.05, 1e-8
-        ad.optimizer_step(store, "adam", lr=lr, eps=eps)
+        ad.optimizer_step(store, lr=lr, eps=eps)
         expect = -lr * g / (np.abs(g) + eps)
         np.testing.assert_allclose(store.params["w"].data, expect, rtol=1e-12)
 
@@ -368,9 +360,9 @@ class TestOptimizers:
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
 
         store.params["w"].grad = g1.copy()
-        ad.optimizer_step(store, "adam", lr=lr)
+        ad.optimizer_step(store, lr=lr)
         store.params["w"].grad = g2.copy()
-        ad.optimizer_step(store, "adam", lr=lr)
+        ad.optimizer_step(store, lr=lr)
 
         m = np.zeros(2)
         v = np.zeros(2)
@@ -386,7 +378,7 @@ class TestOptimizers:
         store.register("w/bad", np.ones(2))
         store.params["w/bad"].grad = np.array([1.0, np.nan])
         with pytest.raises(FloatingPointError, match="w/bad"):
-            ad.optimizer_step(store, "adam", lr=0.1)
+            ad.optimizer_step(store, lr=0.1)
 
     def test_frozen_params_not_updated(self):
         store = ad.ParamStore()
@@ -394,7 +386,7 @@ class TestOptimizers:
         store.register("table", np.ones(2), frozen=True)
         store.params["w"].grad = np.ones(2)
         store.params["table"].grad = np.ones(2)
-        ad.optimizer_step(store, "sgd", lr=0.5)
+        ad.optimizer_step(store, lr=0.5)
         np.testing.assert_allclose(store.params["w"].data, [0.5, 0.5])
         np.testing.assert_allclose(store.params["table"].data, [1.0, 1.0])
 

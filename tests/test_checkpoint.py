@@ -41,13 +41,6 @@ class TestRoundTrip:
         save_checkpoint(path, Checkpoint("fp", arrays, partial=True))
         assert load_checkpoint(path).partial
 
-    def test_task_sections(self, arrays):
-        ck = Checkpoint("fp", arrays)
-        sections = ck.task_sections()
-        assert set(sections) >= {"Rg", "fuse"}
-        assert "embed" in sections["Rg"]  # prefix stripped inside a section
-        assert np.array_equal(sections["Rg"]["embed"], arrays["Rg/embed"])
-
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path, arrays):

@@ -2,10 +2,12 @@
 fingerprint guards, artifact shapes, and re-run determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from coldstart import cli
 from coldstart.checkpoint import load_checkpoint
 from coldstart.cli import main
 
@@ -119,6 +121,10 @@ class TestArtifacts:
             assert trace[0] == "epoch,loss" and len(trace) == 3
         log_rows = (out / "pretrain" / "train_log.tsv").read_text().splitlines()
         assert len(log_rows) == 8  # 4 tasks x 2 epochs
+        for row in log_rows:  # task, epoch, loss, wall_ms, skipped
+            fields = row.split("\t")
+            assert len(fields) == 5, row
+            assert int(fields[4]) >= 0, row
 
     def test_finetune_outputs(self, pipeline):
         out, _, _ = pipeline
@@ -181,6 +187,30 @@ class TestChaining:
         _, _, base = pipeline
         with pytest.raises(SystemExit, match="KEY=VALUE"):
             main(["ingest"] + base + ["--set", "no_equals_sign"])
+
+    def test_bad_config_value(self, pipeline):
+        _, _, base = pipeline
+        with pytest.raises(SystemExit, match="bad configuration: .*'c_frac'"):
+            main(["ingest"] + base + ["--set", "c_frac=1.5"])
+
+    def test_eval_refuses_foreign_pretrain_checkpoint(self, pipeline, tmp_path, monkeypatch):
+        """A pretrain checkpoint built under another seed is refused before
+        any evaluation work starts."""
+        out, cfg_path, _ = pipeline
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        other = tmp_path / "other"
+        for stage in ("ingest", "split", "groundtruth", "pretrain"):
+            assert main([stage, "--config", str(cfg_path), "--out", str(other),
+                         "--seed", "12"]) == 0, stage
+        shutil.copy(other / "pretrain" / "checkpoint.ckpt", run / "pretrain" / "checkpoint.ckpt")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("intrinsic evaluation ran on an unchecked checkpoint")
+
+        monkeypatch.setattr(cli, "eval_intrinsic_side", must_not_run)
+        with pytest.raises(SystemExit, match="fingerprint mismatch"):
+            main(["eval", "--config", str(cfg_path), "--out", str(run)])
 
 
 class TestDeterminism:

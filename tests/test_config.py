@@ -42,6 +42,25 @@ class TestConfigFile:
             with pytest.raises(ValueError, match="freeze_encoders"):
                 build_config({}, {"freeze_encoders": bad})
 
+    @pytest.mark.parametrize("overrides, keys", [
+        ({"c_frac": "1.5"}, ["c_frac"]),
+        ({"tasks": "Rg,Xx"}, ["tasks"]),
+        ({"k_extrinsic": "0"}, ["k_extrinsic"]),
+        ({"heads": "3", "d": "16"}, ["heads"]),
+        ({"aug": "both", "subst_ratio": "0.6"}, ["subst_ratio", "delete_ratio"]),
+    ])
+    def test_bad_values_name_their_key(self, overrides, keys):
+        with pytest.raises(ValueError) as err:
+            build_config({}, overrides)
+        for key in keys:
+            assert repr(key) in str(err.value)
+
+    def test_value_checks_keep_valid_configs(self):
+        # heads only binds the walk tasks' transformer
+        assert build_config({}, {"heads": "3", "d": "16", "tasks": "Rg,Cg"}).heads == 3
+        cfg = build_config({}, {"aug": "both", "subst_ratio": "0.5", "delete_ratio": "0.5"})
+        assert cfg.subst_ratio == cfg.delete_ratio == 0.5
+
     def test_task_list(self):
         cfg = build_config({}, {"tasks": "Rp,Cg"})
         assert cfg.task_list() == ["Rp", "Cg"]

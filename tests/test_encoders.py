@@ -60,44 +60,43 @@ class TestMetaAggregator:
         init_meta_params(store, "Rg", d, seed)
         return store
 
+    def weights(self, store):
+        return [store[f"Rg/meta/{name}"].data for name in ("wq", "wk", "wv")]
+
     def test_matches_numpy_oracle(self):
         store = self.setup_store()
         rng = np.random.default_rng(8)
         nb = rng.normal(size=(5, 4))
-        tape = ad.Tape()
-        out = meta_aggregate(tape, store, "Rg", ad.Tensor(nb))
+        out = meta_aggregate(nb, *self.weights(store))
 
         wq = store["Rg/meta/wq"].data
         wk = store["Rg/meta/wk"].data
         wv = store["Rg/meta/wv"].data
         attn = np_softmax((nb @ wq) @ (nb @ wk).T / np.sqrt(4))
         expect = (attn @ (nb @ wv)).mean(axis=0)
-        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+        np.testing.assert_allclose(out, expect, atol=1e-12)
 
     def test_permutation_invariance(self):
         store = self.setup_store()
         rng = np.random.default_rng(9)
         nb = rng.normal(size=(6, 4))
-        tape = ad.Tape()
-        base = meta_aggregate(tape, store, "Rg", ad.Tensor(nb)).data
+        base = meta_aggregate(nb, *self.weights(store))
         for trial in range(5):
             perm = np.random.default_rng(trial).permutation(6)
-            tape2 = ad.Tape()
-            out = meta_aggregate(tape2, store, "Rg", ad.Tensor(nb[perm])).data
+            out = meta_aggregate(nb[perm], *self.weights(store))
             assert np.max(np.abs(out - base)) <= 1e-10
 
     def test_single_neighbor(self):
         store = self.setup_store()
         nb = np.array([[1.0, -1.0, 0.5, 2.0]])
-        tape = ad.Tape()
-        out = meta_aggregate(tape, store, "Rg", ad.Tensor(nb))
+        out = meta_aggregate(nb, *self.weights(store))
         # with one row, attention is the identity: output = row @ wv
-        np.testing.assert_allclose(out.data, (nb @ store["Rg/meta/wv"].data)[0], atol=1e-12)
+        np.testing.assert_allclose(out, (nb @ store["Rg/meta/wv"].data)[0], atol=1e-12)
 
     def test_empty_rejected(self):
         store = self.setup_store()
         with pytest.raises(ValueError):
-            meta_aggregate(ad.Tape(), store, "Rg", ad.Tensor(np.zeros((0, 4))))
+            meta_aggregate(np.zeros((0, 4)), *self.weights(store))
 
 
 class TestMetaTable:

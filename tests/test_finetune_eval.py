@@ -196,7 +196,7 @@ class TestFinetuneLoop:
         model = finetuned_model()
         assert len(model.loss_trace) == icfg.finetune_epochs
         assert all(np.isfinite(v) for v in model.loss_trace)
-        assert "fuse/w" in model.store.names()
+        assert "fuse/w" in model.store
         assert model.enabled == ["Rg", "Cg", "Rp", "Cp"]
 
     def test_fused_vec_deterministic(self):

@@ -7,7 +7,7 @@ import pytest
 
 from coldstart.data import ITEM, USER, Interaction, build_graph, flip
 from coldstart.paths import (augment_path, augment_subgraph, generate_paths,
-                             generate_positioned_paths, mask_path)
+                             generate_positioned_paths)
 from coldstart.sampling import sample_random
 
 
@@ -92,18 +92,6 @@ class TestPositionedPaths:
         got = generate_positioned_paths(g, (USER, 0), 4, seed=23)
         for mp in got:
             assert len(mp.nodes) == 4
-
-
-class TestMaskPath:
-    def test_mask_records_original(self):
-        p = [(USER, 0), (ITEM, 5), (USER, 2)]
-        mp = mask_path(p, 1)
-        assert mp.pos == 1 and mp.original == (ITEM, 5)
-        assert mp.nodes == p
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            mask_path([(USER, 0)], 1)
 
 
 class TestSubgraphAugment:

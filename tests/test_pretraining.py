@@ -287,7 +287,7 @@ class TestTaskSetup:
         g = blocky_interactions()
         for code in TASK_CODES:
             st = init_task(code, g, self.cfg(), seed=3)
-            names = set(st.store.names())
+            names = set(st.store.params)
             assert f"{code}/embed" in names
             if code in GNN_TASKS:
                 assert f"{code}/gnn/wout" in names
