@@ -441,8 +441,10 @@ class ParamStore:
         return {n: self.params[n].data for n in sorted(self.params)}
 
 
-def optimizer_step(store: ParamStore, lr: float,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+_BETA1, _BETA2 = 0.9, 0.999  # Adam's moment decay rates
+
+
+def optimizer_step(store: ParamStore, lr: float, eps: float = 1e-8) -> None:
     """Apply one bias-corrected Adam update from accumulated grads, then zero
     them. Frozen parameters are left as they are.
 
@@ -461,12 +463,12 @@ def optimizer_step(store: ParamStore, lr: float,
             m = np.zeros_like(p.data)
             store._adam_v[name] = np.zeros_like(p.data)
         v = store._adam_v[name]
-        m = beta1 * m + (1.0 - beta1) * p.grad
-        v = beta2 * v + (1.0 - beta2) * (p.grad * p.grad)
+        m = _BETA1 * m + (1.0 - _BETA1) * p.grad
+        v = _BETA2 * v + (1.0 - _BETA2) * (p.grad * p.grad)
         store._adam_m[name] = m
         store._adam_v[name] = v
-        mhat = m / (1.0 - beta1 ** t)
-        vhat = v / (1.0 - beta2 ** t)
+        mhat = m / (1.0 - _BETA1 ** t)
+        vhat = v / (1.0 - _BETA2 ** t)
         p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
     store.zero_grads()
 

@@ -135,13 +135,6 @@ def _load_pretrain_inputs(out: Path, cfg: ExperimentConfig):
     return graph, gt, targets
 
 
-def _load_cold_inputs(out: Path):
-    """The fine-tuning graph (test edges removed) and the cold users' split."""
-    graph = _load_canonical(out)
-    ext = _load_extrinsic(out)
-    return remove_test_edges(graph, ext), ext
-
-
 def _write_loss_csv(path: Path, losses) -> None:
     atomic_write_text(path, "epoch,loss\n" + "".join(f"{e},{v!r}\n" for e, v in enumerate(losses)))
 
@@ -225,9 +218,10 @@ def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> int:
         f"{l.task}\t{l.epoch}\t{l.loss!r}\t{l.wall_ms:.3f}\t{l.skipped}\n" for l in result.logs))
     for code in cfg.task_list():
         _write_loss_csv(stage / f"loss_{code}.csv", [l.loss for l in result.logs if l.task == code])
-    _write_meta(out, "pretrain", cfg, {"failed_tasks": result.failed})
+    _write_meta(out, "pretrain", cfg, {"failed_tasks": list(result.failed),
+                                       "failure_reasons": result.failed})
     if result.failed:
-        log.error("pretrain: diverged tasks %s; checkpoint marked partial", result.failed)
+        log.error("pretrain: diverged tasks %s; checkpoint marked partial", list(result.failed))
         return 1
     log.info("pretrain: %d tasks trained", len(cfg.task_list()))
     return 0
@@ -238,7 +232,8 @@ def cmd_finetune(cfg: ExperimentConfig, out: Path) -> None:
     ckpt = _load_stage_checkpoint(out, "pretrain", cfg)
     if ckpt.partial:
         raise SystemExit("pretrain checkpoint is partial (a task diverged); not fine-tuning")
-    graph_ft, ext = _load_cold_inputs(out)
+    ext = _load_extrinsic(out)
+    graph_ft = remove_test_edges(_load_canonical(out), ext)
     model = finetune(graph_ft, ext, ckpt, cfg, cfg.seed)
     stage = _stage_dir(out, "finetune")
     atomic_save_checkpoint(_checkpoint_path(out, "finetune"), model_checkpoint(model, cfg.fingerprint()))
@@ -248,13 +243,21 @@ def cmd_finetune(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def _rebuild_finetuned(cfg: ExperimentConfig, out: Path) -> FinetunedModel:
-    """Reload the fine-tuned parameters and rebuild the inference plans. By
-    default plans were sampled before fine-tuning moved the embeddings, so
-    they are rebuilt from the pre-train tables; with replan_each_epoch the
-    model follows its moving tables, so plans come from the fine-tuned ones."""
+    """Reload the fine-tuned model together with the inputs it is rebuilt from."""
     pre_store, enabled = load_store(_load_stage_checkpoint(out, "pretrain", cfg))
+    return _finetuned_model(cfg, out, _load_canonical(out), _load_extrinsic(out),
+                            pre_store, enabled)
+
+
+def _finetuned_model(cfg: ExperimentConfig, out: Path, graph, ext, pre_store,
+                     enabled) -> FinetunedModel:
+    """Reload the fine-tuned parameters and rebuild the inference plans from
+    already loaded inputs. By default plans were sampled before fine-tuning
+    moved the embeddings, so they are rebuilt from the pre-train tables; with
+    replan_each_epoch the model follows its moving tables, so plans come from
+    the fine-tuned ones."""
     fin_store, _ = load_store(_load_stage_checkpoint(out, "finetune", cfg))
-    graph_ft, ext = _load_cold_inputs(out)
+    graph_ft = remove_test_edges(graph, ext)
     plan_store = fin_store if cfg.replan_each_epoch else pre_store
     plans = build_plans(graph_ft, sorted(ext.train), plan_store, enabled, cfg, cfg.seed)
     return FinetunedModel(fin_store, enabled, cfg, graph_ft.n_users, graph_ft.n_items, plans)
@@ -276,7 +279,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:
         for code, val in rep.per_task.items():
             metrics[f"intrinsic_cosine_{side}_{code}"] = val
 
-    model = _rebuild_finetuned(cfg, out)
+    model = _finetuned_model(cfg, out, graph, ext, pre_store, enabled)
     er = eval_extrinsic(model, ext, cfg.k_eval)
     metrics[f"recall_at_{cfg.k_eval}"] = er.recall
     metrics[f"ndcg_at_{cfg.k_eval}"] = er.ndcg

@@ -21,6 +21,7 @@ inferring embeddings.
 import numpy as np
 
 from . import autodiff as ad
+from .config import GNN_TASKS
 from .data import ITEM, USER, BipartiteGraph, flip
 from .rng import rng_for
 
@@ -242,6 +243,21 @@ def encode_path_at(tape, store, base, nodes, pos, n_users, n_items, blocks, head
     tokens = path_tokens(nodes, n_users, n_items)
     hidden = transformer_forward(tape, store, base, tokens, blocks, heads)
     return ad.row(tape, hidden, pos)
+
+
+def encode_input(tape, store, code, inp, cfg, n_users, n_items) -> ad.Tensor:
+    """A target's embedding under pretext task code's encoder: the GNN over a
+    tree (Rg, Cg), or the mean over positioned walks of the transformer read
+    at the mask (Rp) or at the unmasked target (Cp)."""
+    if code in GNN_TASKS:
+        return gnn_forward(tape, store, code, inp, cfg.layers, n_users)
+    if code == "Rp":
+        reads = [encode_masked_path(tape, store, code, mp, n_users, n_items, cfg.blocks, cfg.heads)
+                 for mp in inp]
+    else:
+        reads = [encode_path_at(tape, store, code, mp.nodes, mp.pos, n_users, n_items,
+                                cfg.blocks, cfg.heads) for mp in inp]
+    return ad.mean(tape, ad.stack_rows(tape, reads), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .config import ExperimentConfig
+from .config import GNN_TASKS, ExperimentConfig
 from .data import ITEM, USER, BipartiteGraph
-from .finetune import FinetunedModel, NodePlan, encode_node, fusion_init
+from .finetune import FinetunedModel, encode_node, fusion_init
 from .paths import generate_positioned_paths
-from .pretraining import (GNN_TASKS, GroundTruth, init_task, reconstruction_loss,
-                          sample_recon_trees, train_on_recon_trees)
+from .pretraining import GroundTruth, init_task, reconstruction_loss, sample_inputs, train_epoch
 from .rng import derive_seed
 from .sampling import mask_neighborhood
 
@@ -102,31 +101,33 @@ def _task_inference(store, enabled, tree, node, cfg: ExperimentConfig,
                     n_users, n_items, seed) -> dict[str, np.ndarray]:
     """Per-task embeddings of a target from its fixed masked tree (paths are
     walked inside the tree)."""
-    plan = NodePlan()
+    plan = {}
     for code in enabled:
         if code in GNN_TASKS:
-            plan.trees[code] = tree
+            plan[code] = tree
         else:
             path_seed = derive_seed(seed, "intr-paths", code, node[0], node[1])
-            plan.paths[code] = generate_positioned_paths(tree, node, cfg.path_len, path_seed)
+            plan[code] = generate_positioned_paths(tree, node, cfg.path_len, path_seed)
     embs = encode_node(None, store, plan, enabled, cfg, n_users, n_items)
     return {code: e.data for code, e in zip(enabled, embs)}
 
 
+_FUSION_LR, _FUSION_EPOCHS = 0.01, 100
+
+
 def train_intrinsic_fusion(train_preds: list[np.ndarray], train_gts: list[np.ndarray],
-                           d: int, n_tasks: int, seed: int,
-                           lr: float = 0.01, epochs: int = 100) -> np.ndarray:
+                           d: int, n_tasks: int) -> np.ndarray:
     """Fit the fusion matrix on the training targets by maximizing cosine to
     the ground truth (the pretext encoders stay fixed)."""
     store = ad.ParamStore()
     store.register("w", fusion_init(d, n_tasks))
     x = np.stack(train_preds)
-    for _ in range(epochs):
+    for _ in range(_FUSION_EPOCHS):
         tape = ad.Tape()
         preds = [ad.matmul(tape, ad.Tensor(x[row]), store["w"]) for row in range(x.shape[0])]
         loss = reconstruction_loss(tape, preds, train_gts)
         ad.backward(tape, loss)
-        ad.optimizer_step(store, lr)
+        ad.optimizer_step(store, _FUSION_LR)
     return store["w"].data
 
 
@@ -173,7 +174,7 @@ def eval_intrinsic_side(graph: BipartiteGraph, split, masked_test: dict,
     d = cfg.d
     train_concat = [np.concatenate([per_task_train[c][j] for c in enabled])
                     for j in range(len(gts_train))]
-    w = train_intrinsic_fusion(train_concat, gts_train, d, len(enabled), seed)
+    w = train_intrinsic_fusion(train_concat, gts_train, d, len(enabled))
 
     test_concat = np.stack([np.concatenate([per_task_test[c][j] for c in enabled])
                             for j in range(len(gts_test))])
@@ -218,9 +219,9 @@ def sampling_benchmark(graph: BipartiteGraph, targets, gt: GroundTruth,
         sample_times, train_times = [], []
         for epoch in range(epochs):
             t0 = time.perf_counter()
-            trees = sample_recon_trees(state, graph, targets, scfg, seed, epoch)
+            trees = sample_inputs(state, graph, targets, scfg, seed, epoch)
             t1 = time.perf_counter()
-            train_on_recon_trees(state, trees, targets, gt, scfg, seed, epoch)
+            train_epoch(state, graph, trees, gt, scfg, seed, epoch)
             t2 = time.perf_counter()
             rows.append(BenchRow(strat, epoch, t1 - t0, t2 - t1))
             sample_times.append(t1 - t0)

@@ -6,8 +6,9 @@ the inner product of the fused user and item embeddings. Fine-tuning trains
 everything (or just the fusion matrix, with freeze_encoders) with the pairwise
 ranking loss over the cold users' training interactions.
 
-Inference inputs (trees and positioned walks) are sampled once at fine-tune
-start and frozen, so steps and evaluation see stable structures.
+A node's plan maps each enabled task code to that task's encoder input: a
+tree for a GNN task, positioned walks for a walk task. Plans are sampled once
+at fine-tune start and frozen, so steps and evaluation see stable structures.
 """
 
 from dataclasses import dataclass, field
@@ -17,10 +18,10 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders as enc
 from .checkpoint import Checkpoint
-from .config import ExperimentConfig
+from .config import GNN_TASKS, TASK_CODES, ExperimentConfig
 from .data import ITEM, USER, BipartiteGraph
 from .paths import generate_positioned_paths
-from .pretraining import GNN_TASKS, TASK_CODES, bpr_loss
+from .pretraining import bpr_loss
 from .rng import derive_seed, rng_for
 from .sampling import sample_dynamic, sample_random
 
@@ -45,18 +46,12 @@ def fusion_init(d: int, n_tasks: int) -> np.ndarray:
     return np.vstack([np.eye(d) / n_tasks for _ in range(n_tasks)])
 
 
-@dataclass
-class NodePlan:
-    trees: dict[str, object] = field(default_factory=dict)  # task -> tree
-    paths: dict[str, list] = field(default_factory=dict)  # task -> positioned walks
-
-
 def build_plan(graph: BipartiteGraph, node: Node, store: ad.ParamStore, enabled,
-               cfg: ExperimentConfig, seed: int) -> NodePlan:
-    """Frozen per-node inference inputs: one tree per GNN task (the
-    reconstruction task uses the configured sampler), one tree plus positioned
-    walks per path task."""
-    plan = NodePlan()
+               cfg: ExperimentConfig, seed: int) -> dict:
+    """Frozen per-node inference inputs, {task code: encoder input}: one tree
+    per GNN task (the reconstruction task uses the configured sampler), the
+    positioned walks of one tree per path task."""
+    plan = {}
     for code in enabled:
         tree_seed = derive_seed(seed, "plan", code, node[0], node[1])
         if code == "Rg" and cfg.sampler == "dynamic":
@@ -65,15 +60,15 @@ def build_plan(graph: BipartiteGraph, node: Node, store: ad.ParamStore, enabled,
         else:
             tree = sample_random(graph, node, cfg.k_extrinsic, cfg.layers, tree_seed)
         if code in GNN_TASKS:
-            plan.trees[code] = tree
+            plan[code] = tree
         else:
             path_seed = derive_seed(seed, "plan-paths", code, node[0], node[1])
-            plan.paths[code] = generate_positioned_paths(tree, node, cfg.path_len, path_seed)
+            plan[code] = generate_positioned_paths(tree, node, cfg.path_len, path_seed)
     return plan
 
 
 def build_plans(graph: BipartiteGraph, users, store: ad.ParamStore, enabled,
-                cfg: ExperimentConfig, seed: int) -> dict[Node, NodePlan]:
+                cfg: ExperimentConfig, seed: int) -> dict[Node, dict]:
     """Plans for the given users plus every candidate item, in that order.
     Items with no neighbors in graph cannot be encoded and are not candidates."""
     candidates = [i for i in range(graph.n_items) if graph.degree(ITEM, i) > 0]
@@ -81,24 +76,11 @@ def build_plans(graph: BipartiteGraph, users, store: ad.ParamStore, enabled,
     return {node: build_plan(graph, node, store, enabled, cfg, seed) for node in nodes}
 
 
-def encode_node(tape, store: ad.ParamStore, plan: NodePlan, enabled,
+def encode_node(tape, store: ad.ParamStore, plan: dict, enabled,
                 cfg: ExperimentConfig, n_users: int, n_items: int) -> list[ad.Tensor]:
     """Per-task embeddings for one node from its frozen plan, in task order."""
-    out = []
-    for code in enabled:
-        if code in GNN_TASKS:
-            out.append(enc.gnn_forward(tape, store, code, plan.trees[code], cfg.layers, n_users))
-        elif code == "Rp":
-            reads = [enc.encode_masked_path(tape, store, code, mp, n_users, n_items,
-                                            cfg.blocks, cfg.heads)
-                     for mp in plan.paths[code]]
-            out.append(ad.mean(tape, ad.stack_rows(tape, reads), axis=0))
-        else:  # Cp reads the target position of the unmasked walks
-            reads = [enc.encode_path_at(tape, store, code, mp.nodes, mp.pos, n_users, n_items,
-                                        cfg.blocks, cfg.heads)
-                     for mp in plan.paths[code]]
-            out.append(ad.mean(tape, ad.stack_rows(tape, reads), axis=0))
-    return out
+    return [enc.encode_input(tape, store, code, plan[code], cfg, n_users, n_items)
+            for code in enabled]
 
 
 def infer_fused(tape, store: ad.ParamStore, task_embs: list[ad.Tensor]) -> ad.Tensor:
@@ -116,7 +98,7 @@ class FinetunedModel:
     cfg: ExperimentConfig
     n_users: int
     n_items: int
-    plans: dict[Node, NodePlan]
+    plans: dict[Node, dict]
     loss_trace: list[float] = field(default_factory=list)
 
     def fused_vec(self, node: Node) -> np.ndarray:

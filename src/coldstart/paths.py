@@ -85,11 +85,13 @@ def _walk_from(space, start: Node, t_len: int, rng) -> Path:
     return Path(nodes)
 
 
-def generate_paths(structure, start: Node, t_len: int, count: int, seed: int,
-                   retry_cap: int = 10) -> list[Path]:
+_RETRIES = 10  # fresh attempts at a walk that dead-ended
+
+
+def generate_paths(structure, start: Node, t_len: int, count: int, seed: int) -> list[Path]:
     """count random walks of t_len nodes from start, uniform over neighbors.
 
-    Walks that dead-end are retried up to retry_cap times, then returned short
+    Walks that dead-end are retried up to _RETRIES times, then returned short
     with complete=False. Alternation user/item holds because every edge of the
     walk space is a user-item edge.
     """
@@ -103,7 +105,7 @@ def generate_paths(structure, start: Node, t_len: int, count: int, seed: int,
     for _ in range(count):
         path = _walk_from(space, start, t_len, rng)
         tries = 0
-        while not path.complete and tries < retry_cap:
+        while not path.complete and tries < _RETRIES:
             path = _walk_from(space, start, t_len, rng)
             tries += 1
         out.append(path)

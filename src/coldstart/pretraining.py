@@ -4,14 +4,23 @@ Ground truth comes from pairwise-ranking matrix factorization trained
 transductively on the abundant targets' interactions merged with the masked
 test targets' kept interactions (one run per protocol side).
 
-The four pretext tasks are trained independently, each with its own embedding
-table, encoder parameters, and derived seeds, so any subset can run in any
-order and produce bit-identical sections:
+The pretext tasks are two objectives times two encoders:
 
-    Rg  reconstruct the target embedding with the GNN over sampler-chosen trees
-    Cg  contrast two augmented views of the target's random tree (GNN)
-    Rp  reconstruct from positioned masked walk sequences (transformer)
-    Cp  contrast two augmented walks read at the target position (transformer)
+                  GNN over trees   transformer over walks
+    reconstruct         Rg                  Rp
+    contrast            Cg                  Cp
+
+Reconstruction (from PT-GNN) aligns the encoded target with its ground-truth
+embedding by 1 - cos: Rg encodes the sampler-chosen tree, Rp averages the
+transformer's reads at the masked target over positioned walks. Contrast (an
+NT-Xent loss, as in SimCLR) pulls two augmented views of one target together
+against the rest of the batch: Cg augments the target's random tree, Cp one
+walk in it, read at the target position.
+
+Each epoch samples every target's input up front and then runs one batch loop
+shared by all four tasks. Tasks are trained independently, each with its own
+embedding table, encoder parameters, and derived seeds, so any subset can run
+in any order and produce bit-identical sections.
 """
 
 import time
@@ -40,8 +49,11 @@ class TaskDivergence(RuntimeError):
 # ground truth
 
 
+_GT_REG = 1e-4  # L2 weight of the ground-truth factorization
+
+
 def train_ground_truth(n_users: int, n_items: int, pairs, d: int, lr: float,
-                       epochs: int, seed: int, reg: float = 1e-4):
+                       epochs: int, seed: int):
     """Pairwise-ranking matrix factorization over implicit (user, item) pairs.
 
     One uniform negative per positive, resampled each epoch. Returns the user
@@ -73,9 +85,9 @@ def train_ground_truth(n_users: int, n_items: int, pairs, d: int, lr: float,
             x = P[u] @ (Q[i] - Q[j])
             s = ad.sigmoid_np(-x)
             total += float(np.logaddexp(0.0, -x))
-            gu = s * (Q[i] - Q[j]) - reg * P[u]
-            gi = s * P[u] - reg * Q[i]
-            gj = -s * P[u] - reg * Q[j]
+            gu = s * (Q[i] - Q[j]) - _GT_REG * P[u]
+            gi = s * P[u] - _GT_REG * Q[i]
+            gj = -s * P[u] - _GT_REG * Q[j]
             P[u] += lr * gu
             Q[i] += lr * gi
             Q[j] += lr * gj
@@ -197,12 +209,6 @@ def init_task(code: str, graph: BipartiteGraph, cfg: ExperimentConfig, seed: int
     return TaskState(code, store, nu, ni)
 
 
-def _batches(items, size, rng):
-    order = rng.permutation(len(items))
-    for start in range(0, len(items), size):
-        yield [items[int(j)] for j in order[start:start + size]]
-
-
 def _sample_tree(kind, graph, target, k, l_max, seed, meta=None, cur=None):
     if kind == "random":
         return sample_random(graph, target, k, l_max, seed)
@@ -214,7 +220,7 @@ def _sample_tree(kind, graph, target, k, l_max, seed, meta=None, cur=None):
 
 
 # ---------------------------------------------------------------------------
-# task epochs
+# task epochs: per-task inputs, two objectives, one batch loop
 
 
 @dataclass
@@ -226,165 +232,107 @@ class EpochLog:
     skipped: int = 0
 
 
-def sample_recon_trees(state, graph, targets, cfg, seed, epoch):
-    """Per-epoch trees for the reconstruction task (dynamic trees use the
-    embedding table as of the end of the previous epoch)."""
-    store = state.store
-    meta = store[f"{state.code}/meta_table"].data if f"{state.code}/meta_table" in store else None
-    cur = store[f"{state.code}/embed"].data
-    return {t: _sample_tree(cfg.sampler, graph, t, cfg.k_intrinsic, cfg.layers,
-                            derive_seed(seed, state.code, "tree", epoch, t[0], t[1]),
-                            meta=meta, cur=cur)
-            for t in targets}
+def sample_inputs(state, graph, targets, cfg, seed, epoch) -> dict:
+    """Every target's input for one epoch, sampled before the first step.
 
-
-def train_on_recon_trees(state, trees, targets, gt, cfg, seed, epoch):
-    """The gradient pass of the reconstruction task over pre-sampled trees."""
-    store = state.store
-    rng = rng_for(seed, state.code, "order", epoch)
-    total, count = 0.0, 0
-    for batch in _batches(targets, cfg.recon_batch, rng):
-        tape = ad.Tape()
-        preds, gts = [], []
-        for t in batch:
-            preds.append(enc.gnn_forward(tape, store, state.code, trees[t], cfg.layers, state.n_users))
-            gts.append(gt.target_vec(*t))
-        loss = reconstruction_loss(tape, preds, gts)
-        ad.backward(tape, loss)
-        ad.optimizer_step(store, cfg.lr)
-        total += float(loss.data) * len(batch)
-        count += len(batch)
-    return total / count
-
-
-def _gnn_recon_epoch(state, graph, targets, gt, cfg, seed, epoch):
-    """One epoch of embedding reconstruction: sampler-selected trees (dynamic
-    by default, recomputed from the current table), cosine alignment to the
-    ground truth."""
-    trees = sample_recon_trees(state, graph, targets, cfg, seed, epoch)
-    return train_on_recon_trees(state, trees, targets, gt, cfg, seed, epoch), 0
-
-
-def _gnn_contrast_epoch(state, graph, targets, gt, cfg, seed, epoch):
-    """One epoch of subgraph contrast: two augmented views per target."""
-    store = state.store
-    rng = rng_for(seed, state.code, "order", epoch)
-    total, count, skipped = 0.0, 0, 0
-    for batch in _batches(targets, cfg.contrast_batch, rng):
-        tape = ad.Tape()
-        views = []
-        for t in batch:
-            base_seed = derive_seed(seed, state.code, "tree", epoch, t[0], t[1])
-            tree = sample_random(graph, t, cfg.k_intrinsic, cfg.layers, base_seed)
-            pair = []
-            for v in (0, 1):
-                ratio = cfg.delete_ratio if cfg.aug != "substitute" else cfg.subst_ratio
-                aug = augment_subgraph(tree, graph, cfg.aug, ratio,
-                                       derive_seed(seed, state.code, "aug", epoch, t[0], t[1], v))
-                try:
-                    h = enc.gnn_forward(tape, store, state.code, aug, cfg.layers, state.n_users)
-                except ValueError:
-                    pair = []
-                    break
-                pair.append(enc.project(tape, store, state.code, h))
-            if len(pair) == 2:
-                views.extend(pair)
-            else:
-                skipped += 1
-        if len(views) < 4:
-            skipped += len(views) // 2
-            continue
-        loss = contrastive_loss(tape, views, cfg.tau)
-        ad.backward(tape, loss)
-        ad.optimizer_step(store, cfg.lr)
-        total += float(loss.data) * (len(views) // 2)
-        count += len(views) // 2
-    if count == 0:
-        raise TaskDivergence(state.code, "every contrastive batch was skipped")
-    return total / count, skipped
-
-
-def _path_recon_epoch(state, graph, targets, gt, cfg, seed, epoch):
-    """One epoch of masked-path reconstruction over positioned walks."""
-    store = state.store
-    rng = rng_for(seed, state.code, "order", epoch)
-    total, count, skipped = 0.0, 0, 0
-    for batch in _batches(targets, cfg.recon_batch, rng):
-        tape = ad.Tape()
-        preds, gts = [], []
-        for t in batch:
-            tree = sample_random(graph, t, cfg.k_intrinsic, cfg.layers,
-                                 derive_seed(seed, state.code, "tree", epoch, t[0], t[1]))
-            paths = generate_positioned_paths(
-                tree, t, cfg.path_len, derive_seed(seed, state.code, "paths", epoch, t[0], t[1]))
-            if not paths:
-                skipped += 1
-                continue
-            reads = [enc.encode_masked_path(tape, store, state.code, mp,
-                                            state.n_users, state.n_items, cfg.blocks, cfg.heads)
-                     for mp in paths]
-            stacked = ad.stack_rows(tape, reads)
-            preds.append(ad.mean(tape, stacked, axis=0))
-            gts.append(gt.target_vec(*t))
-        if not preds:
-            continue
-        loss = reconstruction_loss(tape, preds, gts)
-        ad.backward(tape, loss)
-        ad.optimizer_step(store, cfg.lr)
-        total += float(loss.data) * len(preds)
-        count += len(preds)
-    if count == 0:
-        raise TaskDivergence(state.code, "no valid paths in any batch")
-    return total / count, skipped
-
-
-def _path_contrast_epoch(state, graph, targets, gt, cfg, seed, epoch):
-    """One epoch of walk contrast: two augmentations of the target's walk,
-    read at the (never deleted) target position."""
-    store = state.store
-    rng = rng_for(seed, state.code, "order", epoch)
-    total, count, skipped = 0.0, 0, 0
-    for batch in _batches(targets, cfg.contrast_batch, rng):
-        tape = ad.Tape()
-        views = []
-        for t in batch:
-            tree = sample_random(graph, t, cfg.k_intrinsic, cfg.layers,
-                                 derive_seed(seed, state.code, "tree", epoch, t[0], t[1]))
+    Rg takes the configured sampler's tree (dynamic trees read the embedding
+    table as it stood at the end of the previous epoch); the other tasks take
+    a random tree, Rp its positioned walks and Cp one walk in it. None marks a
+    target without usable input: no complete positioned walk (Rp) or a walk
+    of fewer than 2 nodes (Cp).
+    """
+    code, store = state.code, state.store
+    kind = cfg.sampler if code == "Rg" else "random"
+    meta = store[f"{code}/meta_table"].data if code == "Rg" else None
+    cur = store[f"{code}/embed"].data
+    inputs = {}
+    for t in targets:
+        tree = _sample_tree(kind, graph, t, cfg.k_intrinsic, cfg.layers,
+                            derive_seed(seed, code, "tree", epoch, *t), meta, cur)
+        if code in GNN_TASKS:
+            inputs[t] = tree
+        elif code == "Rp":
+            inputs[t] = generate_positioned_paths(
+                tree, t, cfg.path_len, derive_seed(seed, code, "paths", epoch, *t)) or None
+        else:
             walk = generate_paths(tree, t, cfg.path_len, 1,
-                                  derive_seed(seed, state.code, "walk", epoch, t[0], t[1]))[0]
-            if len(walk.nodes) < 2:
-                skipped += 1
-                continue
-            pair = []
-            for v in (0, 1):
-                ratio = cfg.delete_ratio if cfg.aug != "substitute" else cfg.subst_ratio
-                aug = augment_path(walk.nodes, cfg.aug, ratio,
-                                   derive_seed(seed, state.code, "aug", epoch, t[0], t[1], v),
-                                   graph=graph, protect=0)
-                pos = aug.kept_from.index(0)
-                h = enc.encode_path_at(tape, store, state.code, aug.nodes, pos,
-                                       state.n_users, state.n_items, cfg.blocks, cfg.heads)
-                pair.append(enc.project(tape, store, state.code, h))
-            views.extend(pair)
+                                  derive_seed(seed, code, "walk", epoch, *t))[0].nodes
+            inputs[t] = walk if len(walk) >= 2 else None
+    return inputs
+
+
+def _recon_batch(state, inputs, gt, cfg):
+    """Reconstruction (Rg, Rp): 1 - cos between each encoded target and its
+    ground-truth embedding."""
+    def batch_loss(tape, batch):
+        if not batch:
+            return None, 0
+        preds = [enc.encode_input(tape, state.store, state.code, inputs[t], cfg,
+                                  state.n_users, state.n_items) for t in batch]
+        return reconstruction_loss(tape, preds, [gt.target_vec(*t) for t in batch]), len(batch)
+    return batch_loss
+
+
+def _view_pair(tape, state, graph, target, inp, cfg, seed, epoch):
+    """Two augmentations of the target's tree (Cg) or walk (Cp), each encoded
+    and projected; a walk is read at the (never deleted) target position.
+    None when an augmented tree has an empty first layer."""
+    code, store = state.code, state.store
+    ratio = cfg.delete_ratio if cfg.aug != "substitute" else cfg.subst_ratio
+    pair = []
+    for v in (0, 1):
+        aug_seed = derive_seed(seed, code, "aug", epoch, *target, v)
+        if code == "Cg":
+            view = augment_subgraph(inp, graph, cfg.aug, ratio, aug_seed)
+            if len(view.layers) < 2 or not view.layers[1]:
+                return None
+            h = enc.encode_input(tape, store, code, view, cfg, state.n_users, state.n_items)
+        else:
+            view = augment_path(inp, cfg.aug, ratio, aug_seed, graph=graph, protect=0)
+            h = enc.encode_path_at(tape, store, code, view.nodes, view.kept_from.index(0),
+                                   state.n_users, state.n_items, cfg.blocks, cfg.heads)
+        pair.append(enc.project(tape, store, code, h))
+    return pair
+
+
+def _contrast_batch(state, graph, inputs, cfg, seed, epoch):
+    """Contrast (Cg, Cp): NT-Xent over the batch's view pairs; a batch with
+    fewer than two pairs does not train."""
+    def batch_loss(tape, batch):
+        views = []
+        for t in batch:
+            views += _view_pair(tape, state, graph, t, inputs[t], cfg, seed, epoch) or []
         if len(views) < 4:
-            skipped += len(views) // 2
+            return None, 0
+        return contrastive_loss(tape, views, cfg.tau), len(views) // 2
+    return batch_loss
+
+
+def train_epoch(state, graph, inputs: dict, gt, cfg, seed, epoch):
+    """One pass over the targets of inputs in seeded batches; a batch's
+    targets without usable input are left out, and each batch that trains
+    takes one Adam step. Returns (mean loss per trained target, number of
+    targets that did not train)."""
+    if state.code in ("Rg", "Rp"):
+        size, batch_loss = cfg.recon_batch, _recon_batch(state, inputs, gt, cfg)
+    else:
+        size, batch_loss = cfg.contrast_batch, _contrast_batch(state, graph, inputs, cfg, seed, epoch)
+    targets = list(inputs)
+    order = rng_for(seed, state.code, "order", epoch).permutation(len(targets))
+    total, count = 0.0, 0
+    for start in range(0, len(targets), size):
+        batch = [targets[int(j)] for j in order[start:start + size]]
+        tape = ad.Tape()
+        loss, n = batch_loss(tape, [t for t in batch if inputs[t] is not None])
+        if loss is None:
             continue
-        loss = contrastive_loss(tape, views, cfg.tau)
         ad.backward(tape, loss)
-        ad.optimizer_step(store, cfg.lr)
-        total += float(loss.data) * (len(views) // 2)
-        count += len(views) // 2
+        ad.optimizer_step(state.store, cfg.lr)
+        total += float(loss.data) * n
+        count += n
     if count == 0:
-        raise TaskDivergence(state.code, "every contrastive batch was skipped")
-    return total / count, skipped
-
-
-_EPOCH_FNS = {
-    "Rg": _gnn_recon_epoch,
-    "Cg": _gnn_contrast_epoch,
-    "Rp": _path_recon_epoch,
-    "Cp": _path_contrast_epoch,
-}
+        raise TaskDivergence(state.code, f"every batch of epoch {epoch} was skipped")
+    return total / count, len(targets) - count
 
 
 def train_task(code: str, graph: BipartiteGraph, targets, gt: GroundTruth,
@@ -392,11 +340,11 @@ def train_task(code: str, graph: BipartiteGraph, targets, gt: GroundTruth,
     """Train one pretext task to completion; returns (state, epoch logs)."""
     state = init_task(code, graph, cfg, seed)
     logs = []
-    fn = _EPOCH_FNS[code]
     for epoch in range(cfg.pretrain_epochs):
         t0 = time.perf_counter()
         try:
-            loss, skipped = fn(state, graph, targets, gt, cfg, seed, epoch)
+            inputs = sample_inputs(state, graph, targets, cfg, seed, epoch)
+            loss, skipped = train_epoch(state, graph, inputs, gt, cfg, seed, epoch)
         except FloatingPointError as e:
             raise TaskDivergence(code, str(e)) from None
         if not np.isfinite(loss):
@@ -409,7 +357,7 @@ def train_task(code: str, graph: BipartiteGraph, targets, gt: GroundTruth,
 class PretrainResult:
     checkpoint: Checkpoint
     logs: list[EpochLog] = field(default_factory=list)
-    failed: list[str] = field(default_factory=list)
+    failed: dict[str, str] = field(default_factory=dict)  # task -> why it diverged
 
 
 def pretrain_all(graph: BipartiteGraph, targets, gt: GroundTruth, cfg: ExperimentConfig,
@@ -418,7 +366,8 @@ def pretrain_all(graph: BipartiteGraph, targets, gt: GroundTruth, cfg: Experimen
 
     Tasks share nothing mutable: each derives its own seeds and parameters, so
     any subset or order of tasks yields bit-identical sections. A diverged task is
-    left out and the checkpoint is marked partial.
+    left out, with its reason in result.failed, and the checkpoint is marked
+    partial.
     """
     tasks = list(tasks)
     for t in tasks:
@@ -426,12 +375,12 @@ def pretrain_all(graph: BipartiteGraph, targets, gt: GroundTruth, cfg: Experimen
             raise ValueError(f"unknown pretext task: {t!r}")
     arrays: dict[str, np.ndarray] = {}
     logs: list[EpochLog] = []
-    failed: list[str] = []
+    failed: dict[str, str] = {}
     for code in tasks:
         try:
             state, task_logs = train_task(code, graph, targets, gt, cfg, seed)
         except TaskDivergence as e:
-            failed.append(e.task)
+            failed[code] = str(e)
             continue
         logs.extend(task_logs)
         arrays.update(state.store.state_arrays())

@@ -213,6 +213,28 @@ class TestChaining:
             main(["eval", "--config", str(cfg_path), "--out", str(run)])
 
 
+class TestEvalInputs:
+    def test_eval_loads_each_input_once(self, pipeline, monkeypatch):
+        """The intrinsic and the extrinsic evaluation share one read of the
+        interactions and of each checkpoint."""
+        out, _, base = pipeline
+        loads = []
+        real_interactions, real_checkpoint = cli.load_interactions, cli.load_checkpoint
+
+        def load_interactions(*args):
+            loads.append("interactions")
+            return real_interactions(*args)
+
+        def load_checkpoint(path):
+            loads.append(path.name)
+            return real_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_interactions", load_interactions)
+        monkeypatch.setattr(cli, "load_checkpoint", load_checkpoint)
+        assert main(["eval"] + base) == 0
+        assert sorted(loads) == ["checkpoint.ckpt", "gt.ckpt", "interactions", "model.ckpt"]
+
+
 class TestDeterminism:
     def test_rerun_finetune_eval_bit_identical(self, pipeline):
         out, _, base = pipeline
@@ -274,3 +296,27 @@ class TestFinetuneFlags:
 
         plain = build_config(parse_config_file(cfg_path), {})
         assert meta["fingerprint"] != plain.fingerprint()
+
+
+class TestDivergedTask:
+    def test_diverged_task_is_recorded_and_refused(self, tmp_path):
+        """Deleting every node empties each Cg view, so Cg diverges: pretrain
+        fails, names the task and its reason, writes a partial checkpoint,
+        and finetune refuses that checkpoint."""
+        data = tmp_path / "corpus.tsv"
+        write_corpus(data)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"dataset_path={data}\n" + CFG)
+        out = tmp_path / "diverged"
+        base = ["--config", str(cfg_path), "--out", str(out), "--tasks", "Rg,Cg",
+                "--set", "pretrain_epochs=1", "--set", "delete_ratio=1.0"]
+        for stage in ("ingest", "split", "groundtruth"):
+            assert main([stage] + base) == 0, stage
+        assert main(["pretrain"] + base) == 1
+        meta = json.loads((out / "pretrain" / "meta.json").read_text())
+        assert meta["failed_tasks"] == ["Cg"]
+        assert list(meta["failure_reasons"]) == ["Cg"]
+        assert "skipped" in meta["failure_reasons"]["Cg"]
+        assert load_checkpoint(out / "pretrain" / "checkpoint.ckpt").partial
+        with pytest.raises(SystemExit, match="partial"):
+            main(["finetune"] + base)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coldstart.data import (ITEM, USER, BipartiteGraph, Interaction, build_graph,
+from coldstart.data import (ITEM, USER, Interaction, build_graph,
                             extrinsic_split, intrinsic_split, load_interactions,
                             meta_split, remove_test_edges)
 from coldstart.sampling import mask_neighborhood

@@ -8,7 +8,7 @@ import pytest
 import coldstart.autodiff as ad
 from coldstart.data import ITEM, USER, Interaction, build_graph
 from coldstart.encoders import (compute_meta_table, encode_masked_path,
-                                encode_path_at, gnn_forward, init_embedding,
+                                encode_path_at, gnn_forward,
                                 init_gnn_params, init_meta_params,
                                 init_projection_params,
                                 init_transformer_params, mask_token,

@@ -120,7 +120,7 @@ class TestFusion:
             gts.append((e1 - e2) @ q)
         w0 = fusion_init(d, m)
         before = mean_cosine(np.stack(preds) @ w0, np.stack(gts))
-        w = train_intrinsic_fusion(preds, gts, d, m, seed=3)
+        w = train_intrinsic_fusion(preds, gts, d, m)
         after = mean_cosine(np.stack(preds) @ w, np.stack(gts))
         assert after > before + 0.2
 
@@ -253,7 +253,7 @@ class TestFinetuneLoop:
         frozen = finetuned_model()
 
         def ids(plan):
-            return [(tn.side, tn.node) for layer in plan.trees["Rg"].layers
+            return [(tn.side, tn.node) for layer in plan["Rg"].layers
                     for tn in layer]
 
         assert any(ids(plan) != ids(frozen.plans[node])

@@ -9,7 +9,7 @@ import pytest
 
 import coldstart.autodiff as ad
 from coldstart.config import ExperimentConfig
-from coldstart.data import ITEM, USER, Interaction, build_graph, intrinsic_split, meta_split
+from coldstart.data import ITEM, USER, Interaction, build_graph
 from coldstart.pretraining import (GNN_TASKS, TASK_CODES, GroundTruth,
                                    bpr_loss, contrastive_loss,
                                    ground_truth_pairs, init_task,
